@@ -364,19 +364,30 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+#: check -> (runner, default cases, default tol, smallest space it can draw
+#: from; lemma3 measures need two atoms)
 _CAMPAIGNS = {
-    "oracle": (run_oracle_equivalence, 500, 0.0),
-    "axioms": (run_axioms, 1000, 1e-9),
-    "lemma1": (run_lemma1, 500, 1e-9),
-    "lemma2": (run_lemma2, 500, 1e-9),
-    "lemma3": (run_lemma3, 100, 1e-9),
+    "oracle": (run_oracle_equivalence, 500, 0.0, 1),
+    "axioms": (run_axioms, 1000, 1e-9, 1),
+    "lemma1": (run_lemma1, 500, 1e-9, 1),
+    "lemma2": (run_lemma2, 500, 1e-9, 1),
+    "lemma3": (run_lemma3, 100, 1e-9, 2),
 }
 
 
 def cmd_verify(args) -> int:
-    runner, default_cases, default_tol = _CAMPAIGNS[args.check]
+    runner, default_cases, default_tol, min_space = _CAMPAIGNS[args.check]
     cases = default_cases if args.cases is None else args.cases
     tol = default_tol if args.tol is None else args.tol
+    if cases < 1:
+        raise UsageError(f"--cases must be at least 1, got {cases}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
+    if args.space_size is not None and args.space_size < min_space:
+        raise UsageError(
+            f"--space-size for {args.check} must be at least {min_space}, "
+            f"got {args.space_size}"
+        )
     report = runner(cases=cases, seed=args.seed, tol=tol, space_size=args.space_size)
     print(report.to_text())
     return EXIT_OK if report.passed else EXIT_VIOLATION

@@ -25,9 +25,18 @@ witness argument:
 Hence the transport value equals
 ``max(max_j min-witness-cost(row j), max_k min-witness-cost(col k))``.
 Witness sets are never empty because normalization gives both measures a
-weight-0 atom.  :func:`bottleneck_distance_bruteforce` enumerates all
-support patterns with independent feasibility filtering and exists to
-keep this argument honest in tests.
+weight-0 atom.
+
+:func:`bottleneck_distance` evaluates this in one of two ways, chosen by
+the support product n1 * n2.  Below ``VECTOR_CELL_CUTOFF`` (256 cells) a
+scalar double loop runs; from 256 cells on, a numpy kernel masks the
+matrix ``|w2[k] - w1[j]| + d(x1[j], x2[k])`` by weight dominance and takes
+row and column minima.  Both perform the same float operations, so their
+results are bitwise identical.
+
+:func:`bottleneck_distance_bruteforce` enumerates all support patterns
+with independent feasibility filtering and exists to keep this argument
+honest in tests.
 """
 
 import math
@@ -47,6 +56,7 @@ __all__ = [
     "bottleneck_distance",
     "bottleneck_distance_bruteforce",
     "ORACLE_CELL_LIMIT",
+    "VECTOR_CELL_CUTOFF",
     "measure_distance",
     "distance_to_dirac",
     "distance_to_diracs",
@@ -54,6 +64,12 @@ __all__ = [
 
 #: Size guard for exhaustive pattern enumeration (support product).
 ORACLE_CELL_LIMIT = 20
+
+#: Support product from which bottleneck_distance uses the numpy kernel,
+#: at the break-even of the two paths.  Scalar/numpy time ratios measured
+#: on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): 0.2x at 4x4, 0.8x at
+#: 12x12, 0.9x-1.4x at 16x16, 3.3x-4.5x at 32x32, 14x at 256x256.
+VECTOR_CELL_CUTOFF = 256
 
 
 def _same_space(mu1: IdempotentMeasure, mu2: IdempotentMeasure):
@@ -170,14 +186,20 @@ def pattern_feasible(pattern, mu1: IdempotentMeasure, mu2: IdempotentMeasure) ->
 
 
 def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
-    """Min over couplings of the worst pair cost, via the witness bound."""
+    """Min over couplings of the worst pair cost, via the witness bound.
+
+    Supports of at least VECTOR_CELL_CUTOFF cells take the numpy kernel,
+    smaller ones the scalar loop; both give the same float, bit for bit.
+    """
     _same_space(mu1, mu2)
     w1, w2 = mu1.weights, mu2.weights
+    drop_abs = defects.enabled("drop-cost-abs")
+    skip_cols = defects.enabled("skip-column-witnesses")
+    if len(w1) * len(w2) >= VECTOR_CELL_CUTOFF:
+        return _bottleneck_vector(mu1, mu2, drop_abs, skip_cols)
     rows = mu1.ground._rows
     p1 = [rows[a] for a in mu1.atoms]
     a2 = mu2.atoms
-    drop_abs = defects.enabled("drop-cost-abs")
-    skip_cols = defects.enabled("skip-column-witnesses")
 
     best = -math.inf
     for j, wj in enumerate(w1):
@@ -203,6 +225,22 @@ def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float
             if m > best:
                 best = m
     return best
+
+
+def _bottleneck_vector(mu1: IdempotentMeasure, mu2: IdempotentMeasure,
+                       drop_abs: bool, skip_cols: bool) -> float:
+    # g[j, k] = wk - wj is the scalar loop's own subtraction, and |g| is
+    # exactly wk - wj where g >= 0 and exactly wj - wk where g <= 0 (a tie
+    # gives +0.0 either way), so every masked cost equals the loop's
+    # bitwise; min and max do no rounding.
+    w1 = np.array(mu1.weights)
+    w2 = np.array(mu2.weights)
+    g = w2[None, :] - w1[:, None]
+    c = (g if drop_abs else np.abs(g)) + mu1.ground.dist[np.ix_(mu1.atoms, mu2.atoms)]
+    best = np.where(g >= 0, c, math.inf).min(axis=1).max()
+    if not skip_cols:
+        best = max(best, np.where(g <= 0, c, math.inf).min(axis=0).max())
+    return float(best)
 
 
 def bottleneck_distance_bruteforce(mu1: IdempotentMeasure,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .measures import IdempotentMeasure, dirac, evaluate, make_measure, pointwise_max
 from .measures import FunctionOnSpace
-from .monad import flatten, map_unit, sample_flatten_preimage, unit
+from .monad import _as_rng, flatten, map_unit, sample_flatten_preimage, unit
 from .spaces import FiniteMetricSpace, index_of_measure, lift, lift_extend
 from .transport import (
     bottleneck_distance,
@@ -136,12 +136,6 @@ class LemmaReport:
             )
             lines.append("  " + first.description)
         return "\n".join(lines)
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def _describe_space(space: FiniteMetricSpace) -> str:

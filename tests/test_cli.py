@@ -252,12 +252,39 @@ def test_dist_oracle_mismatch_exits_3(worked_file, capsys):
 
 
 def test_verify_reports_violations_with_exit_3(capsys):
-    # a hostile tolerance forces failures and a counterexample dump
-    code = main(["verify", "axioms", "--cases", "20", "--seed", "1",
-                 "--tol", "-1"])
+    # an injected kernel defect forces failures and a counterexample dump
+    from tropmeas import defects
+
+    with defects.inject("skip-column-witnesses"):
+        code = main(["verify", "oracle", "--cases", "20", "--seed", "1"])
     out = capsys.readouterr().out
     assert code == 3
     assert "FAIL" in out and "counterexample" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma2", "--tol", "nan"],
+    ["lemma2", "--tol", "inf"],
+    ["axioms", "--tol=-inf"],
+    ["axioms", "--tol", "-1"],
+    ["oracle", "--tol=-1e-300"],
+    ["lemma2", "--cases", "-1"],
+    ["axioms", "--cases", "0"],
+    ["axioms", "--space-size", "0"],
+    ["oracle", "--space-size", "-3"],
+    ["lemma3", "--space-size", "1"],
+])
+def test_verify_rejects_bad_arguments(argv, capsys):
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: --" in captured.err
+
+
+def test_verify_accepts_smallest_space(capsys):
+    assert main(["verify", "lemma3", "--cases", "2", "--space-size", "2"]) == 0
+    assert main(["verify", "oracle", "--cases", "5", "--space-size", "1",
+                 "--tol", "0"]) == 0
 
 
 def test_numbers_print_with_12_significant_digits(tmp_path, capsys):

@@ -1,13 +1,18 @@
+import contextlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import tropmeas as tm
+from tropmeas import defects, transport
 from tropmeas.transport import (
     ORACLE_CELL_LIMIT,
+    VECTOR_CELL_CUTOFF,
     Coupling,
     SupportPattern,
+    _bottleneck_vector,
     bottleneck_distance,
     bottleneck_distance_bruteforce,
     cost,
@@ -146,6 +151,77 @@ def test_oracle_size_guard():
     assert m1.support_size * m2.support_size > ORACLE_CELL_LIMIT
     with pytest.raises(ValueError):
         bottleneck_distance_bruteforce(m1, m2)
+
+
+def _measure(space, atoms, weights):
+    weights = np.asarray(weights, dtype=float)
+    weights[0] = 0.0
+    return tm.make_measure(space, [(int(a), float(w)) for a, w in zip(atoms, weights)])
+
+
+def _grid_measure(space, size, rng):
+    # weights on a coarse grid, so that pairs with equal weights occur
+    atoms = rng.choice(len(space), size=size, replace=False)
+    return _measure(space, atoms, -0.25 * rng.integers(0, 5, size=size))
+
+
+def test_vector_kernel_agrees_with_bruteforce():
+    rng = np.random.default_rng(17)
+    for i in range(200):
+        sp = tm.gen_space(int(rng.integers(4, 7)), rng)
+        if i % 2:
+            m1, m2 = (tm.gen_measure(sp, 4, rng) for _ in range(2))
+        else:
+            m1, m2 = (_grid_measure(sp, int(rng.integers(1, 5)), rng) for _ in range(2))
+        assert m1.support_size * m2.support_size <= ORACLE_CELL_LIMIT
+        h = _bottleneck_vector(m1, m2, False, False)
+        assert h.hex() == bottleneck_distance_bruteforce(m1, m2).hex()
+
+
+@pytest.mark.parametrize("drop_abs,skip_cols", itertools.product((False, True), repeat=2))
+def test_vector_kernel_matches_scalar_loop_bitwise(drop_abs, skip_cols, monkeypatch):
+    # the scalar loop is bottleneck_distance with the cutoff out of reach
+    monkeypatch.setattr(transport, "VECTOR_CELL_CUTOFF", math.inf)
+    rng = np.random.default_rng(18)
+    sp = tm.gen_space(96, rng)
+    sizes = set()
+    with contextlib.ExitStack() as stack:
+        for name, on in (("drop-cost-abs", drop_abs), ("skip-column-witnesses", skip_cols)):
+            if on:
+                stack.enter_context(defects.inject(name))
+        for i in range(60):
+            n1, n2 = (int(n) for n in rng.integers(8, 65, size=2))
+            if i % 2:
+                m1 = tm.gen_measure(sp, n1, rng, min_support=n1)
+                m2 = tm.gen_measure(sp, n2, rng, min_support=n2)
+            else:
+                m1, m2 = _grid_measure(sp, n1, rng), _grid_measure(sp, n2, rng)
+            sizes.add(n1 * n2 >= VECTOR_CELL_CUTOFF)
+            v = _bottleneck_vector(m1, m2, drop_abs, skip_cols)
+            assert v.hex() == bottleneck_distance(m1, m2).hex()
+    assert sizes == {False, True}
+
+
+def test_defects_reach_the_vector_kernel(monkeypatch):
+    # mu1 stays near 0 and mu2 sits far below it, so the column witnesses
+    # set H and H exceeds the diameter: every defect moves the result
+    rng = np.random.default_rng(19)
+    sp = tm.gen_space(64, rng)
+    diam = sp.truncation_diam
+    m1 = _measure(sp, rng.choice(64, size=32, replace=False),
+                  rng.uniform(-diam / 4, 0.0, size=32))
+    m2 = _measure(sp, rng.choice(64, size=32, replace=False),
+                  rng.uniform(-10 * diam, -5 * diam, size=32))
+    assert m1.support_size * m2.support_size >= VECTOR_CELL_CUTOFF
+    clean = measure_distance(m1, m2)
+    for name in sorted(defects.DEFECTS):
+        with defects.inject(name):
+            vector = measure_distance(m1, m2)
+            with monkeypatch.context() as m:
+                m.setattr(transport, "VECTOR_CELL_CUTOFF", math.inf)
+                scalar = measure_distance(m1, m2)
+        assert vector != clean, name
+        assert vector.hex() == scalar.hex(), name
 
 
 def test_pattern_monotonicity_sample(worked):
