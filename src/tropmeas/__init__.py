@@ -54,7 +54,6 @@ from .transport import (
     measure_distance,
     pattern_feasible,
 )
-from .tropical import BOTTOM, ONE, MaxPlusValue, big_oplus, odot, oplus
 from .verify import (
     CaseFailure,
     LemmaReport,

@@ -364,31 +364,36 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-#: check -> (runner, default cases, default tol, smallest space it can draw
-#: from; lemma3 measures need two atoms)
+#: check -> (runner, smallest space it can draw from; lemma3 measures need
+#: two atoms).  Default cases and tolerances live in the runner signatures.
 _CAMPAIGNS = {
-    "oracle": (run_oracle_equivalence, 500, 0.0, 1),
-    "axioms": (run_axioms, 1000, 1e-9, 1),
-    "lemma1": (run_lemma1, 500, 1e-9, 1),
-    "lemma2": (run_lemma2, 500, 1e-9, 1),
-    "lemma3": (run_lemma3, 100, 1e-9, 2),
+    "oracle": (run_oracle_equivalence, 1),
+    "axioms": (run_axioms, 1),
+    "lemma1": (run_lemma1, 1),
+    "lemma2": (run_lemma2, 1),
+    "lemma3": (run_lemma3, 2),
 }
 
 
 def cmd_verify(args) -> int:
-    runner, default_cases, default_tol, min_space = _CAMPAIGNS[args.check]
-    cases = default_cases if args.cases is None else args.cases
-    tol = default_tol if args.tol is None else args.tol
-    if cases < 1:
-        raise UsageError(f"--cases must be at least 1, got {cases}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
+    runner, min_space = _CAMPAIGNS[args.check]
+    given = {}
+    if args.cases is not None:
+        if args.cases < 1:
+            raise UsageError(f"--cases must be at least 1, got {args.cases}")
+        given["cases"] = args.cases
+    if args.tol is not None:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise UsageError(f"--tol must be finite and >= 0, got {args.tol!r}")
+        given["tol"] = args.tol
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.space_size is not None and args.space_size < min_space:
         raise UsageError(
             f"--space-size for {args.check} must be at least {min_space}, "
             f"got {args.space_size}"
         )
-    report = runner(cases=cases, seed=args.seed, tol=tol, space_size=args.space_size)
+    report = runner(seed=args.seed, space_size=args.space_size, **given)
     print(report.to_text())
     return EXIT_OK if report.passed else EXIT_VIOLATION
 

@@ -12,6 +12,11 @@ pairwise distance exactly.  Lifted spaces inherit the ground diameter:
 the space of measures over X has the same diameter as X, and a lifted
 space built from a finite sample of measures keeps the full truncation
 even when the sampled pairwise distances all stay below it.
+
+:func:`lift` (from a ground space) and :func:`lift_extend` (from a lifted
+space, keeping its points and distances) are two front doors to one
+builder: it skips measures that are already points and computes the
+transport distance only for pairs with a new point.
 """
 
 from dataclasses import dataclass
@@ -97,7 +102,7 @@ class FiniteMetricSpace:
         self.level = int(level)
         self.points = points
         # Plain-float rows for hot scalar lookups.
-        self._rows = tuple(tuple(float(x) for x in row) for row in d)
+        self._rows = d.tolist()
         self._index = {lab: i for i, lab in enumerate(labels)}
 
         if check:
@@ -188,14 +193,48 @@ def diameter(space: FiniteMetricSpace) -> float:
     return space.truncation_diam
 
 
-def _dedupe(measures, tol: float):
+def _position(points, mu, tol: float):
+    """Index of the first point within ``tol`` of ``mu``, or None."""
     from .measures import measures_close
 
-    reps = []
+    for i, p in enumerate(points):
+        if measures_close(mu, p, tol):
+            return i
+    return None
+
+
+def _build(level: int, diam: float, points, dist, measures, check: bool):
+    """The lifted space over ``points`` plus the new ones of ``measures``.
+
+    ``dist`` is the distance block of ``points`` and is copied; only pairs
+    with a new measure are computed.  Measures already present (equal
+    supports, weights within 1e-9) are skipped.  Returns None when nothing
+    is new.
+    """
+    from .transport import measure_distance
+
+    pts = list(points)
+    old = len(pts)
     for m in measures:
-        if not any(measures_close(m, r, tol) for r in reps):
-            reps.append(m)
-    return reps
+        if _position(pts, m, 1e-9) is None:
+            pts.append(m)
+    n = len(pts)
+    if n == old:
+        return None
+    dmat = np.zeros((n, n))
+    if old:
+        dmat[:old, :old] = dist
+    for j in range(old, n):
+        for i in range(j):
+            dmat[i, j] = dmat[j, i] = measure_distance(pts[i], pts[j])
+    return FiniteMetricSpace(
+        tuple(f"mu{i}" for i in range(n)),
+        dmat,
+        truncation_diam=diam,
+        level=level,
+        points=tuple(pts),
+        check=check,
+    )
 
 
 def lift(ground: FiniteMetricSpace, measures, *, check=False) -> FiniteMetricSpace:
@@ -209,7 +248,6 @@ def lift(ground: FiniteMetricSpace, measures, *, check=False) -> FiniteMetricSpa
     property under test, not an assumption.
     """
     from .measures import SpaceMismatchError
-    from .transport import measure_distance
 
     measures = list(measures)
     if not measures:
@@ -217,71 +255,28 @@ def lift(ground: FiniteMetricSpace, measures, *, check=False) -> FiniteMetricSpa
     for m in measures:
         if m.ground is not ground:
             raise SpaceMismatchError("all lifted measures must share the ground space")
-
-    reps = _dedupe(measures, 1e-9)
-    n = len(reps)
-    dmat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = measure_distance(reps[i], reps[j])
-            dmat[i, j] = dmat[j, i] = v
-    return FiniteMetricSpace(
-        tuple(f"mu{i}" for i in range(n)),
-        dmat,
-        truncation_diam=ground.truncation_diam,
-        level=ground.level + 1,
-        points=tuple(reps),
-        check=check,
-    )
+    return _build(ground.level + 1, ground.truncation_diam, (), None, measures, check)
 
 
 def lift_extend(lifted: FiniteMetricSpace, extra_measures, *, check=False) -> FiniteMetricSpace:
     """Extend a lifted space with further measures, reusing known distances.
 
     Equivalent to re-lifting the union, but the distance block between
-    existing points is copied instead of recomputed.
+    existing points is copied instead of recomputed.  Returns ``lifted``
+    itself when every extra measure is already a point.
     """
-    from .measures import measures_close
-    from .transport import measure_distance
-
     if lifted.level < 1:
         raise InvalidSpaceError("lift_extend needs a lifted space")
-    fresh = []
-    for m in extra_measures:
-        if any(measures_close(m, p) for p in lifted.points) or any(
-            measures_close(m, f) for f in fresh
-        ):
-            continue
-        fresh.append(m)
-    if not fresh:
-        return lifted
-
-    old = len(lifted)
-    pts = list(lifted.points) + fresh
-    n = len(pts)
-    dmat = np.zeros((n, n))
-    dmat[:old, :old] = lifted.dist
-    for j in range(old, n):
-        for i in range(j):
-            v = measure_distance(pts[i], pts[j])
-            dmat[i, j] = dmat[j, i] = v
-    return FiniteMetricSpace(
-        tuple(f"mu{i}" for i in range(n)),
-        dmat,
-        truncation_diam=lifted.truncation_diam,
-        level=lifted.level,
-        points=tuple(pts),
-        check=check,
-    )
+    extended = _build(lifted.level, lifted.truncation_diam, lifted.points,
+                      lifted.dist, extra_measures, check)
+    return lifted if extended is None else extended
 
 
 def index_of_measure(lifted: FiniteMetricSpace, mu, tol: float = 1e-9) -> int:
     """Locate the point of a lifted space equal to ``mu`` (within ``tol``)."""
-    from .measures import measures_close
-
     if lifted.level < 1:
         raise InvalidSpaceError("only lifted spaces have measures as points")
-    for i, p in enumerate(lifted.points):
-        if measures_close(mu, p, tol):
-            return i
-    raise ValueError("measure is not a point of this lifted space")
+    i = _position(lifted.points, mu, tol)
+    if i is None:
+        raise ValueError("measure is not a point of this lifted space")
+    return i

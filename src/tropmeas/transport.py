@@ -46,7 +46,6 @@ import numpy as np
 
 from . import defects
 from .measures import IdempotentMeasure, SpaceMismatchError, _resolve_atom
-from .tropical import MaxPlusValue, big_oplus
 
 __all__ = [
     "Coupling",
@@ -114,8 +113,8 @@ class Coupling:
         _same_space(self.mu1, self.mu2)
         w1, w2 = self.mu1.weights, self.mu2.weights
         seen = set()
-        rows: dict[int, list] = {}
-        cols: dict[int, list] = {}
+        rowmax = [-math.inf] * len(w1)
+        colmax = [-math.inf] * len(w2)
         for j, k, g in self.pairs:
             if not (0 <= j < len(w1) and 0 <= k < len(w2)):
                 return f"pair ({j}, {k}) out of range"
@@ -129,18 +128,16 @@ class Coupling:
                     f"pair weight {g!r} at ({j}, {k}) exceeds the marginal cap "
                     f"min({w1[j]!r}, {w2[k]!r})"
                 )
-            rows.setdefault(j, []).append(MaxPlusValue(g))
-            cols.setdefault(k, []).append(MaxPlusValue(g))
-        for j, wj in enumerate(w1):
-            m = big_oplus(rows.get(j, ()))
-            if m.is_bottom or m.value != wj:
-                return f"row marginal at {j}: fold is {m!r}, expected {wj!r}"
-        for k, wk in enumerate(w2):
-            m = big_oplus(cols.get(k, ()))
-            if m.is_bottom or m.value != wk:
-                return f"column marginal at {k}: fold is {m!r}, expected {wk!r}"
-        top = big_oplus(MaxPlusValue(g) for _, _, g in self.pairs)
-        if top != MaxPlusValue(0.0):
+            rowmax[j] = max(rowmax[j], g)
+            colmax[k] = max(colmax[k], g)
+        for j, (m, wj) in enumerate(zip(rowmax, w1)):
+            if m != wj:
+                return f"row marginal at {j}: max is {m!r}, expected {wj!r}"
+        for k, (m, wk) in enumerate(zip(colmax, w2)):
+            if m != wk:
+                return f"column marginal at {k}: max is {m!r}, expected {wk!r}"
+        top = max((g for _, _, g in self.pairs), default=-math.inf)
+        if top != 0.0:
             return f"induced measure is not normalized: max pair weight {top!r}"
         return None
 

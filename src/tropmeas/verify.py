@@ -30,7 +30,7 @@ import numpy as np
 from .measures import IdempotentMeasure, dirac, evaluate, make_measure, pointwise_max
 from .measures import FunctionOnSpace
 from .monad import _as_rng, flatten, map_unit, sample_flatten_preimage, unit
-from .spaces import FiniteMetricSpace, index_of_measure, lift, lift_extend
+from .spaces import FiniteMetricSpace, lift, lift_extend
 from .transport import (
     bottleneck_distance,
     bottleneck_distance_bruteforce,
@@ -259,8 +259,7 @@ def check_axioms(space: FiniteMetricSpace, cases: int, seed,
     return report
 
 
-def check_lemma1(M1: IdempotentMeasure, M2: IdempotentMeasure,
-                 tol: float = CAMPAIGN_TOL):
+def check_lemma1(M1: IdempotentMeasure, M2: IdempotentMeasure):
     """(lhs, rhs, violation) for one non-expansion case: rhs is the level-2
     distance, lhs the distance of the flattens; violation is lhs - rhs."""
     lhs = measure_distance(flatten(M1), flatten(M2))
@@ -269,33 +268,26 @@ def check_lemma1(M1: IdempotentMeasure, M2: IdempotentMeasure,
 
 
 def check_lemma2(mu: IdempotentMeasure, x0: int, group_count: int,
-                 extras: int, rng, tol: float = CAMPAIGN_TOL):
-    """(lhs, rhs, gap) for one preimage case.
+                 extras: int, rng):
+    """(lhs, rhs, gap, N) for one preimage case.
 
     lhs is the distance from mu to the Dirac at x0; rhs is the level-2
     distance between the lifted Dirac and a sampled flatten-preimage N,
-    rebuilt over a lifted space holding N's atoms plus the Dirac.
+    carried over to N's lifted space extended by the Dirac.  Extending
+    keeps N's point indices, so N's entries carry over unchanged.
     """
     N = sample_flatten_preimage(mu, group_count, rng, extras)
-    ground = mu.ground
-    d0 = dirac(ground, x0)
-    lifted = lift(ground, list(N.ground.points) + [d0])
-    N2 = make_measure(
-        lifted,
-        [
-            (index_of_measure(lifted, N.ground.points[a]), w)
-            for a, w in N.entries()
-        ],
-    )
+    d0 = dirac(mu.ground, x0)
+    lifted = lift_extend(N.ground, [d0])
+    N2 = make_measure(lifted, N.entries())
     target = unit(d0, lifted)
     lhs = measure_distance(mu, d0)
     rhs = measure_distance(target, N2)
     return lhs, rhs, abs(lhs - rhs), N
 
 
-def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng,
-                 tol: float = CAMPAIGN_TOL):
-    """(eps, worst_rhs, violation) for one separation case.
+def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng):
+    """(eps, worst_rhs, violation, worst_nu) for one separation case.
 
     eps is the distance from mu to the nearest Dirac; the check samples
     measures nu (plus every Dirac of the space) and requires the level-2
@@ -378,7 +370,7 @@ def run_lemma1(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
         lifted = lift(space, pool)
         M1 = gen_measure(lifted, max_outer, rng)
         M2 = gen_measure(lifted, max_outer, rng)
-        lhs, rhs, violation = check_lemma1(M1, M2, tol)
+        lhs, rhs, violation = check_lemma1(M1, M2)
         report.record(
             i, "non-expansion", lhs, rhs, violation,
             f"M1 = {_describe_measure(M1)}, M2 = {_describe_measure(M2)}, "
@@ -400,7 +392,7 @@ def run_lemma2(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
         x0 = int(rng.integers(len(space)))
         s = int(rng.integers(1, mu.support_size + 1))
         extras = int(rng.integers(0, max_extras + 1))
-        lhs, rhs, gap, N = check_lemma2(mu, x0, s, extras, rng, tol)
+        lhs, rhs, gap, N = check_lemma2(mu, x0, s, extras, rng)
         report.record(
             i, "preimage-dirac-distance", lhs, rhs, gap,
             f"mu = {_describe_measure(mu)}, x0 = {space.labels[x0]}, "
@@ -421,7 +413,7 @@ def run_lemma3(cases: int = 100, seed: int = 0, tol: float = CAMPAIGN_TOL,
     for i in range(cases):
         space = gen_space(_random_point_count(rng, space_size), rng)
         mu = gen_measure(space, max_support, rng, min_support=2)
-        eps, worst, violation, worst_nu = check_lemma3(mu, sample_count, rng, tol)
+        eps, worst, violation, worst_nu = check_lemma3(mu, sample_count, rng)
         report.record(
             i, "unit-separation", eps, worst, violation,
             f"mu = {_describe_measure(mu)}, eps = {eps!r}, "

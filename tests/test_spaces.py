@@ -158,6 +158,35 @@ def test_lift_extend_matches_full_lift(worked):
     assert np.array_equal(ext.dist, full.dist)
     assert lift_extend(base, [m1]) is base
 
+    rng = np.random.default_rng(11)
+    near_merged = 0
+    for _ in range(40):
+        X = tm.gen_space(int(rng.integers(2, 6)), rng)
+        A = [tm.gen_measure(X, 3, rng) for _ in range(int(rng.integers(1, 5)))]
+        B = [tm.gen_measure(X, 3, rng) for _ in range(int(rng.integers(1, 5)))]
+        # duplicates and near-duplicates inside A, inside B and across A and B
+        A += [A[0], _near_copy(A[-1], rng)]
+        B += [B[0], _near_copy(B[-1], rng), A[1], _near_copy(A[0], rng)]
+        A = [A[i] for i in rng.permutation(len(A))]
+        B = [B[i] for i in rng.permutation(len(B))]
+        L = lift(X, A)
+        ext = lift_extend(L, B)
+        full = lift(X, A + B)
+        assert len(ext) == len(full) < len(A + B)
+        assert all(p is q for p, q in zip(ext.points, full.points))
+        assert ext.dist.tobytes() == full.dist.tobytes()
+        assert lift_extend(L, A) is L
+        near_merged += sum(m not in full.points for m in A + B)
+    assert near_merged > 0
+
+
+def _near_copy(mu, rng):
+    """``mu`` with each nonzero weight lowered by less than 1e-9."""
+    return tm.make_measure(mu.ground, [
+        (a, w if w == 0.0 else w - float(rng.uniform(1e-12, 5e-10)))
+        for a, w in mu.entries()
+    ])
+
 
 def test_index_of_measure(worked):
     sp, m1, m2 = worked

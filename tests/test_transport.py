@@ -292,6 +292,12 @@ def test_coupling_validation_catches_violations(worked):
     # duplicate pair
     bad = Coupling(good.mu1, good.mu2, ((0, 0, 0.0), (0, 0, 0.0), (1, 0, -1.0)))
     assert "duplicate" in bad.validate()
+    # every row attained, but the target's column 0 (weight -3) has no pair
+    bad = Coupling(m1, m2, ((0, 1, 0.0), (1, 1, -1.0)))
+    assert "column marginal at 0" in bad.validate()
+    # no pairs at all
+    bad = Coupling(m1, m2, ())
+    assert "row marginal at 0" in bad.validate()
 
 
 def test_induced_pair_weights_are_normalized(worked):
