@@ -374,6 +374,9 @@ _CAMPAIGNS = {
     "lemma3": (run_lemma3, 2),
 }
 
+#: Largest --space-size, so that the n x n distance matrix fits in memory.
+MAX_SPACE_SIZE = 1024
+
 
 def cmd_verify(args) -> int:
     runner, min_space = _CAMPAIGNS[args.check]
@@ -388,10 +391,11 @@ def cmd_verify(args) -> int:
         given["tol"] = args.tol
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    if args.space_size is not None and args.space_size < min_space:
+    if args.space_size is not None and not (
+            min_space <= args.space_size <= MAX_SPACE_SIZE):
         raise UsageError(
-            f"--space-size for {args.check} must be at least {min_space}, "
-            f"got {args.space_size}"
+            f"--space-size for {args.check} must be between {min_space} and "
+            f"{MAX_SPACE_SIZE}, got {args.space_size}"
         )
     report = runner(seed=args.seed, space_size=args.space_size, **given)
     print(report.to_text())

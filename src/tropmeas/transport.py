@@ -245,9 +245,10 @@ def bottleneck_distance_bruteforce(mu1: IdempotentMeasure,
     """Exhaustive reference value: minimum worst pair cost over all
     feasible support patterns.
 
-    Enumerates every nonempty subset of the support-pair grid, filters by
-    the maximal-coupling marginal check, and minimizes the pattern's worst
-    cost.  Test oracle only; guarded to ORACLE_CELL_LIMIT grid cells.
+    Enumerates every nonempty subset of the support-pair grid as a cells x
+    masks table, filters by the maximal-coupling marginal check, and
+    minimizes the pattern's worst cost, each maximum taken over the short
+    axis 0.  Test oracle only; guarded to ORACLE_CELL_LIMIT grid cells.
     """
     _same_space(mu1, mu2)
     w1 = np.array(mu1.weights)
@@ -264,19 +265,19 @@ def bottleneck_distance_bruteforce(mu1: IdempotentMeasure,
     caps = np.minimum(w1[:, None], w2[None, :]).ravel()
 
     masks = np.arange(1, 1 << cells, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(cells, dtype=np.uint32)[None, :]) & 1).astype(bool)
+    bits = ((masks[None, :] >> np.arange(cells, dtype=np.uint32)[:, None]) & 1).astype(bool)
 
     feasible = np.ones(len(masks), dtype=bool)
     for j in range(n1):
-        sel = bits[:, j * n2:(j + 1) * n2]
-        rowmax = np.where(sel, caps[j * n2:(j + 1) * n2], -np.inf).max(axis=1)
+        sel = bits[j * n2:(j + 1) * n2]
+        rowmax = np.where(sel, caps[j * n2:(j + 1) * n2, None], -np.inf).max(axis=0)
         feasible &= rowmax == w1[j]
     for k in range(n2):
-        sel = bits[:, k::n2]
-        colmax = np.where(sel, caps[k::n2], -np.inf).max(axis=1)
+        sel = bits[k::n2]
+        colmax = np.where(sel, caps[k::n2, None], -np.inf).max(axis=0)
         feasible &= colmax == w2[k]
 
-    worst = np.where(bits, costs, -np.inf).max(axis=1)
+    worst = np.where(bits, costs[:, None], -np.inf).max(axis=0)
     return float(worst[feasible].min())
 
 

@@ -96,6 +96,10 @@ def test_criterion_3_measure_axioms():
 
 
 def test_criterion_4_flatten_non_expansion():
+    """Passes at SEED = 0 only because that seed is clean: at these
+    defaults the lemma1 campaign reports violations on 11 of seeds 0-99
+    (2, 4, 15, 31, 34, 39, 53, 55, 59, 72 and 85; see bench/digests.json
+    and README "Known failing campaign").  Seed and tolerance stay put."""
     t0 = time.perf_counter()
     report = run_lemma1(cases=500, seed=SEED)
     elapsed = time.perf_counter() - t0

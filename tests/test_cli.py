@@ -273,6 +273,7 @@ def test_verify_reports_violations_with_exit_3(capsys):
     ["axioms", "--space-size", "0"],
     ["oracle", "--space-size", "-3"],
     ["lemma3", "--space-size", "1"],
+    ["oracle", "--space-size", "1000000000"],
     ["oracle", "--seed", "-1"],
 ])
 def test_verify_rejects_bad_arguments(argv, capsys):

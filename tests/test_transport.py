@@ -144,13 +144,23 @@ def test_oracle_agrees_on_random_instances():
         assert bottleneck_distance(m1, m2) == bottleneck_distance_bruteforce(m1, m2)
 
 
-def test_oracle_size_guard():
-    sp = tm.gen_space(6, np.random.default_rng(0))
+def test_oracle_size_guard(monkeypatch):
+    sp = tm.gen_space(7, np.random.default_rng(0))
     m1 = tm.gen_measure(sp, 6, np.random.default_rng(1), min_support=5)
     m2 = tm.gen_measure(sp, 6, np.random.default_rng(2), min_support=5)
-    assert m1.support_size * m2.support_size > ORACLE_CELL_LIMIT
-    with pytest.raises(ValueError):
-        bottleneck_distance_bruteforce(m1, m2)
+    m3 = tm.gen_measure(sp, 3, np.random.default_rng(3), min_support=3)
+    m7 = tm.gen_measure(sp, 7, np.random.default_rng(4), min_support=7)
+    pairs = [(m1, m2), (m3, m7), (m7, m3)]
+    assert min(a.support_size * b.support_size for a, b in pairs) == ORACLE_CELL_LIMIT + 1
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("mask table built past the size guard")
+
+    # the masks come from np.arange, so the guard must fire before it
+    monkeypatch.setattr(np, "arange", no_table)
+    for a, b in pairs:
+        with pytest.raises(ValueError, match="enumeration guard"):
+            bottleneck_distance_bruteforce(a, b)
 
 
 def _measure(space, atoms, weights):
@@ -163,6 +173,32 @@ def _grid_measure(space, size, rng):
     # weights on a coarse grid, so that pairs with equal weights occur
     atoms = rng.choice(len(space), size=size, replace=False)
     return _measure(space, atoms, -0.25 * rng.integers(0, 5, size=size))
+
+
+def _min_worst_cost_over_patterns(m1, m2):
+    # the oracle's definition in plain Python: every nonempty pattern,
+    # kept if pattern_feasible, scored by its largest pair cost
+    cells = list(itertools.product(range(m1.support_size), range(m2.support_size)))
+    costs = {cell: cost(*cell, m1, m2) for cell in cells}
+    best = math.inf
+    for r in range(1, len(cells) + 1):
+        for pattern in itertools.combinations(cells, r):
+            if pattern_feasible(pattern, m1, m2):
+                best = min(best, max(costs[cell] for cell in pattern))
+    return best
+
+
+def test_bruteforce_matches_pattern_enumeration():
+    rng = np.random.default_rng(23)
+    for i in range(300):
+        sp = tm.gen_space(int(rng.integers(3, 7)), rng)
+        if i % 2:
+            m1, m2 = (tm.gen_measure(sp, 3, rng) for _ in range(2))
+        else:
+            m1, m2 = (_grid_measure(sp, int(rng.integers(1, 4)), rng) for _ in range(2))
+        assert m1.support_size * m2.support_size <= 9
+        expected = _min_worst_cost_over_patterns(m1, m2)
+        assert bottleneck_distance_bruteforce(m1, m2).hex() == expected.hex()
 
 
 def test_vector_kernel_agrees_with_bruteforce():

@@ -142,6 +142,37 @@ def test_check_lemma3_dirac_targets_reduce_to_base_distance():
         assert rhs >= eps
 
 
+def test_check_lemma3_closed_form_matches_lifted_path():
+    # check_lemma3 takes rho(map_unit(mu), unit(nu)) in closed form; the
+    # lifted path it stands for must give the same floats, bit for bit
+    rng = np.random.default_rng(31)
+    deduped = 0
+    for _ in range(40):
+        sp = gen_space(int(rng.integers(2, 7)), rng)
+        mu = gen_measure(sp, 4, rng, min_support=2)
+        seed = int(rng.integers(2**32))
+        eps, worst, violation, worst_nu = check_lemma3(mu, 15, seed)
+
+        sample_rng = np.random.default_rng(seed)
+        samples = [tm.dirac(sp, x) for x in range(len(sp))]
+        samples += [gen_measure(sp, len(sp), sample_rng) for _ in range(15)]
+        base = lift(sp, [tm.dirac(sp, a) for a in mu.atoms])
+        diam = sp.truncation_diam
+        lifted_values = []
+        for nu in samples:
+            L = tm.lift_extend(base, [nu])
+            deduped += L is base
+            lifted = tm.measure_distance(tm.map_unit(mu, L), unit(nu, L))
+            h = max(abs(w) + tm.distance_to_dirac(nu, a) for a, w in mu.entries())
+            closed = h if h <= diam else diam
+            assert closed.hex() == lifted.hex()
+            lifted_values.append(lifted)
+        assert worst == min(lifted_values)
+        assert worst_nu == samples[lifted_values.index(worst)]
+        assert violation == max(0.0, eps - worst)
+    assert deduped >= 80
+
+
 def test_check_lemma3_small_campaign():
     report = run_lemma3(cases=10, seed=4, sample_count=50)
     assert report.passed, report.to_text()
