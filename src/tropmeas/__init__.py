@@ -22,7 +22,6 @@ from .measures import (
     pointwise_max,
     pushforward,
     renormalize,
-    support,
 )
 from .monad import (
     flatten,
@@ -31,13 +30,11 @@ from .monad import (
     map_unit,
     sample_flatten_preimage,
     unit,
-    unit_at,
 )
 from .spaces import (
     FiniteMetricSpace,
     InvalidSpaceError,
     MetricViolation,
-    diameter,
     index_of_measure,
     lift,
     lift_extend,
@@ -52,6 +49,7 @@ from .transport import (
     distance_to_dirac,
     distance_to_diracs,
     measure_distance,
+    measure_distances,
     pattern_feasible,
 )
 from .verify import (

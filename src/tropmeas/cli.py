@@ -444,7 +444,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run a randomized verification campaign")
     p.add_argument("check", choices=sorted(_CAMPAIGNS))
     p.add_argument("--space-size", type=int, default=None,
-                   help="fixed point count (default: random 3-6 per case)")
+                   help="fixed point count, at most 1024 (default: random 3-6 per "
+                        "case); every case builds its own space in time cubic in "
+                        "the count: about 0.1 s at 256 points, 8 s at 1024")
     p.add_argument("--cases", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)

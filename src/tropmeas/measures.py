@@ -28,7 +28,6 @@ __all__ = [
     "renormalize",
     "dirac",
     "evaluate",
-    "support",
     "pushforward",
     "couple_with_dirac",
     "measures_close",
@@ -175,11 +174,6 @@ def evaluate(mu: IdempotentMeasure, phi: FunctionOnSpace) -> float:
         raise SpaceMismatchError("function and measure live on different spaces")
     vals = phi.values
     return max(w + vals[a] for a, w in zip(mu.atoms, mu.weights))
-
-
-def support(mu: IdempotentMeasure) -> tuple[int, ...]:
-    """The atom indices carrying the measure."""
-    return mu.atoms
 
 
 def pushforward(mapping, mu: IdempotentMeasure,

@@ -39,7 +39,6 @@ __all__ = [
     "flatten",
     "flatten_via_evaluation",
     "unit",
-    "unit_at",
     "map_unit",
     "sample_flatten_preimage",
 ]
@@ -103,12 +102,6 @@ def unit(mu: IdempotentMeasure,
     if lifted is None:
         lifted = lift(mu.ground, [mu])
     return dirac(lifted, index_of_measure(lifted, mu))
-
-
-def unit_at(space: FiniteMetricSpace, x,
-            lifted: FiniteMetricSpace | None = None) -> IdempotentMeasure:
-    """Dirac at the lifted point representing the Dirac of ``x``."""
-    return unit(dirac(space, x), lifted)
 
 
 def map_unit(mu: IdempotentMeasure,

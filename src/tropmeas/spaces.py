@@ -16,7 +16,9 @@ even when the sampled pairwise distances all stay below it.
 :func:`lift` (from a ground space) and :func:`lift_extend` (from a lifted
 space, keeping its points and distances) are two front doors to one
 builder: it skips measures that are already points and computes the
-transport distance only for pairs with a new point.
+metric only for pairs with a new point, all in one call of
+:func:`tropmeas.transport.measure_distances`, whose batched kernel gives
+each distance bit for bit as :func:`~tropmeas.transport.measure_distance`.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,6 @@ __all__ = [
     "MetricViolation",
     "TRIANGLE_TOL",
     "validate",
-    "diameter",
     "lift",
     "lift_extend",
     "index_of_measure",
@@ -188,35 +189,26 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
     return None
 
 
-def diameter(space: FiniteMetricSpace) -> float:
-    """The truncation diameter of the space."""
-    return space.truncation_diam
-
-
-def _position(points, mu, tol: float):
-    """Index of the first point within ``tol`` of ``mu``, or None."""
-    from .measures import measures_close
-
-    for i, p in enumerate(points):
-        if measures_close(mu, p, tol):
-            return i
-    return None
-
-
 def _build(level: int, diam: float, points, dist, measures, check: bool):
     """The lifted space over ``points`` plus the new ones of ``measures``.
 
     ``dist`` is the distance block of ``points`` and is copied; only pairs
-    with a new measure are computed.  Measures already present (equal
-    supports, weights within 1e-9) are skipped.  Returns None when nothing
-    is new.
+    with a new measure are computed, in one batch.  Measures already
+    present (equal supports, weights within 1e-9) are skipped.  Returns
+    None when nothing is new.
     """
-    from .transport import measure_distance
+    from .measures import measures_close
+    from .transport import measure_distances
 
     pts = list(points)
     old = len(pts)
+    by_atoms = {}
+    for p in pts:
+        by_atoms.setdefault(p.atoms, []).append(p)
     for m in measures:
-        if _position(pts, m, 1e-9) is None:
+        same = by_atoms.setdefault(m.atoms, [])
+        if not any(measures_close(m, p, 1e-9) for p in same):
+            same.append(m)
             pts.append(m)
     n = len(pts)
     if n == old:
@@ -224,9 +216,11 @@ def _build(level: int, diam: float, points, dist, measures, check: bool):
     dmat = np.zeros((n, n))
     if old:
         dmat[:old, :old] = dist
-    for j in range(old, n):
-        for i in range(j):
-            dmat[i, j] = dmat[j, i] = measure_distance(pts[i], pts[j])
+    # every pair (i, j) with i < j and j new, column by column: column j
+    # holds rows 0..j-1 and starts after the j(j-1)/2 - old(old-1)/2 before it
+    cols = np.repeat(np.arange(old, n), np.arange(old, n))
+    rows = np.arange(len(cols)) - (cols * (cols - 1) - old * (old - 1)) // 2
+    dmat[rows, cols] = dmat[cols, rows] = measure_distances(pts, rows, cols)
     return FiniteMetricSpace(
         tuple(f"mu{i}" for i in range(n)),
         dmat,
@@ -276,7 +270,9 @@ def index_of_measure(lifted: FiniteMetricSpace, mu, tol: float = 1e-9) -> int:
     """Locate the point of a lifted space equal to ``mu`` (within ``tol``)."""
     if lifted.level < 1:
         raise InvalidSpaceError("only lifted spaces have measures as points")
-    i = _position(lifted.points, mu, tol)
-    if i is None:
-        raise ValueError("measure is not a point of this lifted space")
-    return i
+    from .measures import measures_close
+
+    for i, p in enumerate(lifted.points):
+        if measures_close(mu, p, tol):
+            return i
+    raise ValueError("measure is not a point of this lifted space")

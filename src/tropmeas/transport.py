@@ -27,12 +27,16 @@ Hence the transport value equals
 Witness sets are never empty because normalization gives both measures a
 weight-0 atom.
 
-:func:`bottleneck_distance` evaluates this in one of two ways, chosen by
-the support product n1 * n2.  Below ``VECTOR_CELL_CUTOFF`` (256 cells) a
-scalar double loop runs; from 256 cells on, a numpy kernel masks the
-matrix ``|w2[k] - w1[j]| + d(x1[j], x2[k])`` by weight dominance and takes
-row and column minima.  Both perform the same float operations, so their
-results are bitwise identical.
+This is evaluated by one numpy kernel or one scalar double loop.
+:func:`measure_distances` takes many pairs at once: it groups them by
+their exact support sizes (n1, n2) and stacks each group, in chunks, into
+(pairs, n1, n2) arrays with no padding.  The kernel masks the costs
+``|w2[k] - w1[j]| + d(x1[j], x2[k])`` by weight dominance and takes row
+and column minima.  One rule picks the path: a group whose cells
+(pairs x n1 x n2) reach ``VECTOR_CELL_CUTOFF`` goes to the kernel, a
+smaller one takes the loop.  :func:`bottleneck_distance` is a group of
+one.  Both paths perform the same float operations, so their results are
+bitwise identical.
 
 :func:`bottleneck_distance_bruteforce` enumerates all support patterns
 with independent feasibility filtering and exists to keep this argument
@@ -57,6 +61,7 @@ __all__ = [
     "ORACLE_CELL_LIMIT",
     "VECTOR_CELL_CUTOFF",
     "measure_distance",
+    "measure_distances",
     "distance_to_dirac",
     "distance_to_diracs",
 ]
@@ -64,11 +69,16 @@ __all__ = [
 #: Size guard for exhaustive pattern enumeration (support product).
 ORACLE_CELL_LIMIT = 20
 
-#: Support product from which bottleneck_distance uses the numpy kernel,
-#: at the break-even of the two paths.  Scalar/numpy time ratios measured
-#: on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): 0.2x at 4x4, 0.8x at
-#: 12x12, 0.9x-1.4x at 16x16, 3.3x-4.5x at 32x32, 14x at 256x256.
+#: Cells of a group of same-size pairs (pairs x n1 x n2) from which the
+#: numpy kernel takes over from the scalar loop, at the break-even of the
+#: two paths.  Scalar/numpy time ratios measured on a 2-vCPU Xeon VM
+#: (Python 3.11, numpy 2.4), one pair: 0.2x at 4x4, 0.9x-1.4x at 16x16,
+#: 3.3x-4.5x at 32x32, 14x at 256x256; a batch of 256 cells: 0.95x-1.0x
+#: as 64 pairs of 2x2, 16 of 4x4 or 4 of 8x8, 1.1x-1.9x at 1024 cells.
 VECTOR_CELL_CUTOFF = 256
+
+#: Cells (pairs x n1 x n2) per chunk of the numpy kernel, bounding its temporaries.
+_CHUNK_CELLS = 1 << 16
 
 
 def _same_space(mu1: IdempotentMeasure, mu2: IdempotentMeasure):
@@ -185,15 +195,24 @@ def pattern_feasible(pattern, mu1: IdempotentMeasure, mu2: IdempotentMeasure) ->
 def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     """Min over couplings of the worst pair cost, via the witness bound.
 
-    Supports of at least VECTOR_CELL_CUTOFF cells take the numpy kernel,
-    smaller ones the scalar loop; both give the same float, bit for bit.
+    A pair of at least VECTOR_CELL_CUTOFF cells is a batch of one for the
+    numpy kernel, a smaller one takes the scalar loop; both give the same
+    float, bit for bit.
     """
     _same_space(mu1, mu2)
-    w1, w2 = mu1.weights, mu2.weights
     drop_abs = defects.enabled("drop-cost-abs")
     skip_cols = defects.enabled("skip-column-witnesses")
-    if len(w1) * len(w2) >= VECTOR_CELL_CUTOFF:
-        return _bottleneck_vector(mu1, mu2, drop_abs, skip_cols)
+    if mu1.support_size * mu2.support_size >= VECTOR_CELL_CUTOFF:
+        return float(_witness_kernel(
+            np.array([mu1.weights]), np.array([mu1.atoms]),
+            np.array([mu2.weights]), np.array([mu2.atoms]),
+            mu1.ground.dist, drop_abs, skip_cols)[0])
+    return _witness_loop(mu1, mu2, drop_abs, skip_cols)
+
+
+def _witness_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure,
+                  drop_abs: bool, skip_cols: bool) -> float:
+    w1, w2 = mu1.weights, mu2.weights
     rows = mu1.ground._rows
     p1 = [rows[a] for a in mu1.atoms]
     a2 = mu2.atoms
@@ -224,20 +243,80 @@ def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float
     return best
 
 
-def _bottleneck_vector(mu1: IdempotentMeasure, mu2: IdempotentMeasure,
-                       drop_abs: bool, skip_cols: bool) -> float:
-    # g[j, k] = wk - wj is the scalar loop's own subtraction, and |g| is
+def _witness_kernel(w1, a1, w2, a2, dist, drop_abs: bool, skip_cols: bool):
+    """Transport values of P stacked pairs: weights and atoms (P, n1) and (P, n2)."""
+    # g[p, j, k] = wk - wj is the scalar loop's own subtraction, and |g| is
     # exactly wk - wj where g >= 0 and exactly wj - wk where g <= 0 (a tie
     # gives +0.0 either way), so every masked cost equals the loop's
     # bitwise; min and max do no rounding.
-    w1 = np.array(mu1.weights)
-    w2 = np.array(mu2.weights)
-    g = w2[None, :] - w1[:, None]
-    c = (g if drop_abs else np.abs(g)) + mu1.ground.dist[np.ix_(mu1.atoms, mu2.atoms)]
-    best = np.where(g >= 0, c, math.inf).min(axis=1).max()
+    g = w2[:, None, :] - w1[:, :, None]
+    c = (g if drop_abs else np.abs(g)) + dist[a1[:, :, None], a2[:, None, :]]
+    h = np.where(g >= 0, c, math.inf).min(axis=2).max(axis=1)
     if not skip_cols:
-        best = max(best, np.where(g <= 0, c, math.inf).min(axis=0).max())
-    return float(best)
+        h = np.maximum(h, np.where(g <= 0, c, math.inf).min(axis=1).max(axis=1))
+    return h
+
+
+def measure_distances(measures, rows, cols) -> np.ndarray:
+    """``measure_distance(measures[i], measures[j])`` for every pair (i, j)
+    of ``rows`` and ``cols``, bit for bit, as one float array; the measures
+    must share one space.
+
+    Pairs are grouped by their exact support sizes.  A group of at least
+    VECTOR_CELL_CUTOFF cells in all (pairs x n1 x n2) goes through the
+    numpy kernel in chunks of about _CHUNK_CELLS cells, a smaller group
+    through the scalar loop.  The defect switches are read once per call.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    for mu in measures:
+        _same_space(measures[0], mu)
+    ground = measures[0].ground
+    drop_abs = defects.enabled("drop-cost-abs")
+    skip_cols = defects.enabled("skip-column-witnesses")
+    skip_trunc = defects.enabled("skip-truncation")
+
+    def loop(i, j):
+        return [_witness_loop(measures[a], measures[b], drop_abs, skip_cols)
+                for a, b in zip(i.tolist(), j.tolist())]
+
+    sizes = [mu.support_size for mu in measures]
+    top = max(sizes)
+    if len(rows) * top * top < VECTOR_CELL_CUTOFF:
+        # no group can reach the cutoff, so every pair takes the loop
+        out = np.array(loop(rows, cols), dtype=float)
+    else:
+        # each measure's row among the measures of its support size
+        at, members = [], {}
+        for m, n in enumerate(sizes):
+            at.append(len(members.setdefault(n, [])))
+            members[n].append(m)
+        stacks = {n: (np.array([measures[m].weights for m in ms]),
+                      np.array([measures[m].atoms for m in ms]))
+                  for n, ms in members.items()}
+        at, sizes = np.array(at), np.array(sizes)
+        key = sizes[rows] * (top + 1) + sizes[cols]
+        order = np.argsort(key)
+        rows, cols, key = rows[order], cols[order], key[order]
+        at1, at2 = at[rows], at[cols]
+        bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(key)]
+        out = np.empty(len(key))
+        for lo, hi in zip(bounds, bounds[1:]):
+            n1, n2 = divmod(int(key[lo]), top + 1)
+            if (hi - lo) * n1 * n2 < VECTOR_CELL_CUTOFF:
+                out[order[lo:hi]] = loop(rows[lo:hi], cols[lo:hi])
+                continue
+            (w1, a1), (w2, a2) = stacks[n1], stacks[n2]
+            step = max(1, _CHUNK_CELLS // (n1 * n2))
+            for k in range(lo, hi, step):
+                e = min(k + step, hi)
+                r, c = at1[k:e], at2[k:e]
+                out[order[k:e]] = _witness_kernel(
+                    w1[r], a1[r], w2[c], a2[c], ground.dist, drop_abs, skip_cols)
+    if skip_trunc:
+        return out
+    d = ground.truncation_diam
+    return np.where(out <= d, out, d)
 
 
 def bottleneck_distance_bruteforce(mu1: IdempotentMeasure,

@@ -18,7 +18,6 @@ from tropmeas.measures import (
     pointwise_max,
     pushforward,
     renormalize,
-    support,
 )
 
 
@@ -90,11 +89,11 @@ def test_evaluate_dirac_is_point_evaluation(space):
 
 
 def test_support(space):
-    assert support(dirac(space, "a")) == (0,)
+    assert dirac(space, "a").atoms == (0,)
     mu = make_measure(space, [("a", 0.0), ("b", -1.0)])
-    assert support(mu) == (0, 1)
+    assert mu.atoms == (0, 1)
     merged = make_measure(space, [("a", 0.0), ("a", -1.0)])
-    assert support(merged) == (0,)
+    assert merged.atoms == (0,)
 
 
 def test_function_on_space_validation(space):

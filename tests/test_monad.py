@@ -10,7 +10,6 @@ from tropmeas.monad import (
     map_unit,
     sample_flatten_preimage,
     unit,
-    unit_at,
 )
 from tropmeas.spaces import lift
 
@@ -100,7 +99,7 @@ def test_flatten_matches_definitional_on_bump_functions():
 
 def test_unit_examples(setting):
     sp, _, _, _, _ = setting
-    d = unit_at(sp, "a")
+    d = unit(tm.dirac(sp, "a"))
     assert d.support_size == 1
     assert d.weights == (0.0,)
     # the single atom is the point representing the Dirac at a

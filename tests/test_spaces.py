@@ -5,7 +5,6 @@ import tropmeas as tm
 from tropmeas.spaces import (
     FiniteMetricSpace,
     InvalidSpaceError,
-    diameter,
     index_of_measure,
     lift,
     lift_extend,
@@ -20,12 +19,12 @@ def two_point():
 
 def test_valid_two_point_space(two_point):
     assert validate(two_point) is None
-    assert diameter(two_point) == 1.0
+    assert two_point.truncation_diam == 1.0
 
 
 def test_singleton_space_has_zero_diameter():
     sp = FiniteMetricSpace(["a"], [[0]])
-    assert diameter(sp) == 0.0
+    assert sp.truncation_diam == 0.0
 
 
 def test_symmetry_violation_reported():
@@ -108,13 +107,13 @@ def test_lift_worked_pair_distance(worked):
 def test_lift_preserves_truncation_diameter(worked):
     sp, m1, m2 = worked
     L = lift(sp, [m1, m2])
-    assert diameter(L) == diameter(sp)
+    assert L.truncation_diam == sp.truncation_diam
     # sampled max distance (2.0) stays below a larger ground diameter too
     sp3 = FiniteMetricSpace(["a", "b", "c"], [[0, 1, 3], [1, 0, 3], [3, 3, 0]])
     mus = [tm.dirac(sp3, "a"), tm.dirac(sp3, "b")]
     L3 = lift(sp3, mus)
     assert L3.dist.max() == 1.0
-    assert diameter(L3) == 3.0
+    assert L3.truncation_diam == 3.0
 
 
 def test_lift_output_passes_validation(worked):

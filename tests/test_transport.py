@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tropmeas.transport import (
     VECTOR_CELL_CUTOFF,
     Coupling,
     SupportPattern,
-    _bottleneck_vector,
+    _witness_kernel,
     bottleneck_distance,
     bottleneck_distance_bruteforce,
     cost,
@@ -175,6 +176,14 @@ def _grid_measure(space, size, rng):
     return _measure(space, atoms, -0.25 * rng.integers(0, 5, size=size))
 
 
+def _kernel(m1, m2, drop_abs, skip_cols):
+    """The numpy kernel on one pair, as a batch of one."""
+    return float(_witness_kernel(
+        np.array([m1.weights]), np.array([m1.atoms]),
+        np.array([m2.weights]), np.array([m2.atoms]),
+        m1.ground.dist, drop_abs, skip_cols)[0])
+
+
 def _min_worst_cost_over_patterns(m1, m2):
     # the oracle's definition in plain Python: every nonempty pattern,
     # kept if pattern_feasible, scored by its largest pair cost
@@ -210,7 +219,7 @@ def test_vector_kernel_agrees_with_bruteforce():
         else:
             m1, m2 = (_grid_measure(sp, int(rng.integers(1, 5)), rng) for _ in range(2))
         assert m1.support_size * m2.support_size <= ORACLE_CELL_LIMIT
-        h = _bottleneck_vector(m1, m2, False, False)
+        h = _kernel(m1, m2, False, False)
         assert h.hex() == bottleneck_distance_bruteforce(m1, m2).hex()
 
 
@@ -233,7 +242,7 @@ def test_vector_kernel_matches_scalar_loop_bitwise(drop_abs, skip_cols, monkeypa
             else:
                 m1, m2 = _grid_measure(sp, n1, rng), _grid_measure(sp, n2, rng)
             sizes.add(n1 * n2 >= VECTOR_CELL_CUTOFF)
-            v = _bottleneck_vector(m1, m2, drop_abs, skip_cols)
+            v = _kernel(m1, m2, drop_abs, skip_cols)
             assert v.hex() == bottleneck_distance(m1, m2).hex()
     assert sizes == {False, True}
 
@@ -244,20 +253,79 @@ def test_defects_reach_the_vector_kernel(monkeypatch):
     rng = np.random.default_rng(19)
     sp = tm.gen_space(64, rng)
     diam = sp.truncation_diam
-    m1 = _measure(sp, rng.choice(64, size=32, replace=False),
-                  rng.uniform(-diam / 4, 0.0, size=32))
-    m2 = _measure(sp, rng.choice(64, size=32, replace=False),
-                  rng.uniform(-10 * diam, -5 * diam, size=32))
+
+    def near(n):
+        return _measure(sp, rng.choice(64, size=n, replace=False),
+                        rng.uniform(-diam / 4, 0.0, size=n))
+
+    def far(n):
+        return _measure(sp, rng.choice(64, size=n, replace=False),
+                        rng.uniform(-10 * diam, -5 * diam, size=n))
+
+    m1, m2 = near(32), far(32)
     assert m1.support_size * m2.support_size >= VECTOR_CELL_CUTOFF
+    # a lift whose 120 pairs of supports 4 x 4 take the kernel in one batch
+    pts = [near(4) for _ in range(8)] + [far(4) for _ in range(8)]
+    assert 120 * 4 * 4 >= VECTOR_CELL_CUTOFF > 4 * 4
     clean = measure_distance(m1, m2)
+    clean_lift = tm.lift(sp, pts).dist
+    assert len(clean_lift) == len(pts)
     for name in sorted(defects.DEFECTS):
         with defects.inject(name):
             vector = measure_distance(m1, m2)
+            batched = tm.lift(sp, pts).dist
             with monkeypatch.context() as m:
                 m.setattr(transport, "VECTOR_CELL_CUTOFF", math.inf)
                 scalar = measure_distance(m1, m2)
+                scalar_lift = tm.lift(sp, pts).dist
         assert vector != clean, name
         assert vector.hex() == scalar.hex(), name
+        assert (batched[:8, 8:] != clean_lift[:8, 8:]).any(), name
+        assert batched.tobytes() == scalar_lift.tobytes(), name
+
+
+def _exact_size_measure(space, size, rng):
+    return tm.gen_measure(space, size, rng, min_support=size)
+
+
+@pytest.mark.parametrize("active", [
+    names for r in range(len(defects.DEFECTS) + 1)
+    for names in itertools.combinations(sorted(defects.DEFECTS), r)],
+    ids=lambda names: "+".join(names) or "clean")
+def test_lift_matches_pairwise_measure_distance(active):
+    rng = np.random.default_rng(24)
+    sp = tm.gen_space(80, rng)
+    sides, most_cells = set(), 0
+    with contextlib.ExitStack() as stack:
+        for name in active:
+            stack.enter_context(defects.inject(name))
+        for case in range(6):
+            # half the cases draw weights on a grid, so that weights tie
+            make = _grid_measure if case % 2 else _exact_size_measure
+            sizes = rng.choice([1, 2, 3, 5, 16, 64], size=int(rng.integers(8, 14)))
+            if case == 4:
+                # a group of 64 x 64 pairs that spans several kernel chunks
+                sizes = np.append(sizes, [64] * 16)
+            if case == 5:
+                # too few cells for any group to reach the cutoff
+                sizes = rng.choice([1, 2, 3], size=5)
+            mus = [make(sp, int(n), rng) for n in sizes]
+            half = len(mus) // 2
+            full = tm.lift(sp, mus)
+            for L in (full, tm.lift_extend(tm.lift(sp, mus[:half]), mus[half:])):
+                pts = L.points
+                expected = np.zeros((len(pts), len(pts)))
+                for j in range(len(pts)):
+                    for i in range(j):
+                        expected[i, j] = expected[j, i] = measure_distance(pts[i], pts[j])
+                assert L.dist.tobytes() == expected.tobytes()
+            pairs = Counter((p.support_size, q.support_size)
+                            for j, q in enumerate(full.points) for p in full.points[:j])
+            sides |= {count * s1 * s2 >= VECTOR_CELL_CUTOFF
+                      for (s1, s2), count in pairs.items()}
+            most_cells = max(most_cells, *(count * s1 * s2 for (s1, s2), count in pairs.items()))
+    assert sides == {False, True}
+    assert most_cells > 2 * transport._CHUNK_CELLS
 
 
 def test_pattern_monotonicity_sample(worked):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -241,6 +244,21 @@ def test_mutation_guard_each_defect_breaks_a_campaign():
     # defects are off outside the context manager
     assert not defects.active()
     assert run_oracle_equivalence(cases=30, seed=0).passed
+
+
+#: Campaign digests recorded for seeds 0-99 (bench/record_digests.py).
+RECORDED_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_campaign_digests_match_the_recorded_ones(seed):
+    # a speed-up must keep campaign results bitwise: failure count and the
+    # exact bits of the largest violation (seed 2 is one where lemma1 fails)
+    recorded = json.loads(RECORDED_DIGESTS.read_text())[str(seed)]
+    for fn in ("run_lemma1", "run_oracle_equivalence"):
+        report = getattr(tm, fn)(seed=seed)
+        digest = f"{report.check}:{len(report.failures)}:{report.max_violation.hex()}"
+        assert digest == recorded[fn], fn
 
 
 def test_inject_rejects_unknown_defect():
