@@ -89,7 +89,10 @@ def _parse_weight(w, name: str) -> float:
         raise DocumentError(f"weight {w!r} in {name!r} is not a number")
     if isinstance(w, bool) or not isinstance(w, (int, float)):
         raise DocumentError(f"weight {w!r} in {name!r} is not a number")
-    w = float(w)
+    try:
+        w = float(w)
+    except OverflowError:
+        w = -math.inf if w < 0 else math.inf
     if not math.isfinite(w):
         raise DocumentError(
             f"non-finite weight {w!r} in support of {name!r}: "
@@ -157,6 +160,8 @@ def parse_document(text: str) -> Document:
         raise DocumentError(
             f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError("document nests too deeply") from None
 
     space = _space_from_raw(raw)
     raw_measures = raw.get("measures", {})
@@ -174,8 +179,9 @@ def parse_document(text: str) -> Document:
         key = id(term)
         if key in levels:
             return levels[key]
+        support = _term_support(term, name)
         atom_levels = set()
-        for atom, _ in _term_support(term, name):
+        for atom, _ in support:
             if isinstance(atom, dict):
                 atom_levels.add(term_level(atom, f"{name}(nested)", visiting))
             elif isinstance(atom, str):
@@ -203,11 +209,14 @@ def parse_document(text: str) -> Document:
                 f"measure {name!r} mixes atoms of different levels"
             )
         levels[key] = atom_levels.pop() + 1
-        terms_by_id[key] = (term, name)
+        terms_by_id[key] = (support, name)
         return levels[key]
 
-    for name, term in raw_measures.items():
-        term_level(term, name, (name,))
+    try:
+        for name, term in raw_measures.items():
+            term_level(term, name, (name,))
+    except RecursionError:
+        raise DocumentError("document nests too deeply") from None
 
     # Build every term of one level (named and anonymous alike) before
     # lifting the ground for the next, so each lifted space sees all its
@@ -217,11 +226,11 @@ def parse_document(text: str) -> Document:
     max_level = max(levels.values(), default=0)
     for lv in range(1, max_level + 1):
         ground = ground_for[lv - 1]
-        for key, (term, name) in terms_by_id.items():
+        for key, (support, name) in terms_by_id.items():
             if levels[key] != lv:
                 continue
             entries = []
-            for atom, w in _term_support(term, name):
+            for atom, w in support:
                 if lv == 1:
                     entries.append((atom, w))
                 else:

@@ -19,6 +19,8 @@ builder: it skips measures that are already points and computes the
 metric only for pairs with a new point, all in one call of
 :func:`tropmeas.transport.measure_distances`, whose batched kernel gives
 each distance bit for bit as :func:`~tropmeas.transport.measure_distance`.
+Each lifted space indexes its points by their ``atoms``; the builder's
+dedupe and :func:`index_of_measure` look measures up there.
 """
 
 from dataclasses import dataclass
@@ -64,7 +66,8 @@ class FiniteMetricSpace:
     computed, not user input.
     """
 
-    __slots__ = ("labels", "dist", "truncation_diam", "level", "points", "_rows", "_index")
+    __slots__ = ("labels", "dist", "truncation_diam", "level", "points", "_rows", "_index",
+                 "_by_atoms")
 
     def __init__(self, labels, dist, *, truncation_diam=None, level=0,
                  points=None, check=True):
@@ -105,6 +108,10 @@ class FiniteMetricSpace:
         # Plain-float rows for hot scalar lookups.
         self._rows = d.tolist()
         self._index = {lab: i for i, lab in enumerate(labels)}
+        # lifted spaces: the indices of the points on each support, in order
+        self._by_atoms = None if points is None else {}
+        for i, p in enumerate(points or ()):
+            self._by_atoms.setdefault(p.atoms, []).append(i)
 
         if check:
             v = validate(self)
@@ -143,7 +150,7 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
         i, j = np.argwhere(bad)[0]
         return MetricViolation(
             "nonnegativity",
-            f"distance at ({labels[i]}, {labels[j]}) is {d[i, j]!r}",
+            f"distance at ({labels[i]}, {labels[j]}) is {float(d[i, j])!r}",
         )
 
     asym = d != d.T
@@ -152,14 +159,14 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
         return MetricViolation(
             "symmetry",
             f"symmetry violation at ({labels[i]}, {labels[j]}): "
-            f"{d[i, j]!r} != {d[j, i]!r}",
+            f"{float(d[i, j])!r} != {float(d[j, i])!r}",
         )
 
     diag = np.diagonal(d)
     if (diag != 0).any():
         i = int(np.argwhere(diag != 0)[0][0])
         return MetricViolation(
-            "zero-diagonal", f"nonzero self-distance {d[i, i]!r} at {labels[i]}"
+            "zero-diagonal", f"nonzero self-distance {float(d[i, i])!r} at {labels[i]}"
         )
 
     offdiag_zero = (d == 0) & ~np.eye(n, dtype=bool)
@@ -176,46 +183,44 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
             i, j = np.argwhere(excess > TRIANGLE_TOL)[0]
             return MetricViolation(
                 "triangle",
-                f"triangle violation: d({labels[i]}, {labels[j]}) = {d[i, j]!r} "
-                f"> d via {labels[k]} = {(d[i, k] + d[k, j])!r}",
+                f"triangle violation: d({labels[i]}, {labels[j]}) = {float(d[i, j])!r} "
+                f"> d via {labels[k]} = {float(d[i, k] + d[k, j])!r}",
             )
 
     if space.truncation_diam < d.max():
         return MetricViolation(
             "truncation-bound",
             f"truncation diameter {space.truncation_diam!r} is below the "
-            f"maximum pairwise distance {d.max()!r}",
+            f"maximum pairwise distance {float(d.max())!r}",
         )
     return None
 
 
-def _build(level: int, diam: float, points, dist, measures, check: bool):
-    """The lifted space over ``points`` plus the new ones of ``measures``.
+def _build(level: int, diam: float, base, measures, check: bool):
+    """The lifted space over the points of ``base`` (or none) and ``measures``.
 
-    ``dist`` is the distance block of ``points`` and is copied; only pairs
-    with a new measure are computed, in one batch.  Measures already
-    present (equal supports, weights within 1e-9) are skipped.  Returns
-    None when nothing is new.
+    The distance block of ``base`` is copied; only pairs with a new
+    measure are computed, in one batch.  Measures already present (equal
+    supports, weights within 1e-9) are found through the atom-keyed index
+    and skipped.  Returns None when nothing is new.
     """
     from .measures import measures_close
     from .transport import measure_distances
 
-    pts = list(points)
+    pts = [] if base is None else list(base.points)
     old = len(pts)
-    by_atoms = {}
-    for p in pts:
-        by_atoms.setdefault(p.atoms, []).append(p)
+    by_atoms = {} if base is None else {a: list(ix) for a, ix in base._by_atoms.items()}
     for m in measures:
         same = by_atoms.setdefault(m.atoms, [])
-        if not any(measures_close(m, p, 1e-9) for p in same):
-            same.append(m)
+        if not any(measures_close(m, pts[i], 1e-9) for i in same):
+            same.append(len(pts))
             pts.append(m)
     n = len(pts)
     if n == old:
         return None
     dmat = np.zeros((n, n))
     if old:
-        dmat[:old, :old] = dist
+        dmat[:old, :old] = base.dist
     # every pair (i, j) with i < j and j new, column by column: column j
     # holds rows 0..j-1 and starts after the j(j-1)/2 - old(old-1)/2 before it
     cols = np.repeat(np.arange(old, n), np.arange(old, n))
@@ -249,7 +254,7 @@ def lift(ground: FiniteMetricSpace, measures, *, check=False) -> FiniteMetricSpa
     for m in measures:
         if m.ground is not ground:
             raise SpaceMismatchError("all lifted measures must share the ground space")
-    return _build(ground.level + 1, ground.truncation_diam, (), None, measures, check)
+    return _build(ground.level + 1, ground.truncation_diam, None, measures, check)
 
 
 def lift_extend(lifted: FiniteMetricSpace, extra_measures, *, check=False) -> FiniteMetricSpace:
@@ -261,18 +266,21 @@ def lift_extend(lifted: FiniteMetricSpace, extra_measures, *, check=False) -> Fi
     """
     if lifted.level < 1:
         raise InvalidSpaceError("lift_extend needs a lifted space")
-    extended = _build(lifted.level, lifted.truncation_diam, lifted.points,
-                      lifted.dist, extra_measures, check)
+    extended = _build(lifted.level, lifted.truncation_diam, lifted, extra_measures, check)
     return lifted if extended is None else extended
 
 
 def index_of_measure(lifted: FiniteMetricSpace, mu, tol: float = 1e-9) -> int:
-    """Locate the point of a lifted space equal to ``mu`` (within ``tol``)."""
+    """Locate the first point of a lifted space equal to ``mu`` (within ``tol``).
+
+    Only the points with ``mu``'s atoms are scanned, in index order: a
+    point with other atoms is never within any ``tol`` of ``mu``.
+    """
     if lifted.level < 1:
         raise InvalidSpaceError("only lifted spaces have measures as points")
     from .measures import measures_close
 
-    for i, p in enumerate(lifted.points):
-        if measures_close(mu, p, tol):
+    for i in lifted._by_atoms.get(mu.atoms, ()):
+        if measures_close(mu, lifted.points[i], tol):
             return i
     raise ValueError("measure is not a point of this lifted space")

@@ -30,13 +30,15 @@ weight-0 atom.
 This is evaluated by one numpy kernel or one scalar double loop.
 :func:`measure_distances` takes many pairs at once: it groups them by
 their exact support sizes (n1, n2) and stacks each group, in chunks, into
-(pairs, n1, n2) arrays with no padding.  The kernel masks the costs
+(n1, n2, pairs) arrays with no padding, pairs along the contiguous axis
+that every op and every minimum runs over.  The kernel gathers ground
+distances by one flat ``take`` and masks the costs
 ``|w2[k] - w1[j]| + d(x1[j], x2[k])`` by weight dominance and takes row
 and column minima.  One rule picks the path: a group whose cells
 (pairs x n1 x n2) reach ``VECTOR_CELL_CUTOFF`` goes to the kernel, a
 smaller one takes the loop.  :func:`bottleneck_distance` is a group of
-one.  Both paths perform the same float operations, so their results are
-bitwise identical.
+one.  Both paths perform the same float operations on each cell, and min
+and max do no rounding, so layout and path change no bit of the result.
 
 :func:`bottleneck_distance_bruteforce` enumerates all support patterns
 with independent feasibility filtering and exists to keep this argument
@@ -70,11 +72,14 @@ __all__ = [
 ORACLE_CELL_LIMIT = 20
 
 #: Cells of a group of same-size pairs (pairs x n1 x n2) from which the
-#: numpy kernel takes over from the scalar loop, at the break-even of the
-#: two paths.  Scalar/numpy time ratios measured on a 2-vCPU Xeon VM
-#: (Python 3.11, numpy 2.4), one pair: 0.2x at 4x4, 0.9x-1.4x at 16x16,
-#: 3.3x-4.5x at 32x32, 14x at 256x256; a batch of 256 cells: 0.95x-1.0x
-#: as 64 pairs of 2x2, 16 of 4x4 or 4 of 8x8, 1.1x-1.9x at 1024 cells.
+#: numpy kernel takes over from the scalar loop, near the break-even of
+#: the two paths.  Scalar/numpy time ratios of the (n1, n2, pairs) kernel,
+#: best of 200-400, on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): one pair
+#: 0.24x at 4x4, 0.8x at 16x16, 1.3x at 24x24, 1.9x at 32x32, 5x at
+#: 256x256; 256 cells as 64 pairs of 2x2, 16 of 4x4, 4 of 8x8 or one 16x16:
+#: 1.2x, 1.0x, 0.8x, 0.7x; 384 cells 0.7x-1.1x; 512 cells 1.0x-1.35x;
+#: 1024 cells 1.25x-1.9x.  The (pairs, n1, n2) kernel before it read
+#: 0.64x-0.87x at 256 cells, so the break-even moved down, not up.
 VECTOR_CELL_CUTOFF = 256
 
 #: Cells (pairs x n1 x n2) per chunk of the numpy kernel, bounding its temporaries.
@@ -204,8 +209,8 @@ def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float
     skip_cols = defects.enabled("skip-column-witnesses")
     if mu1.support_size * mu2.support_size >= VECTOR_CELL_CUTOFF:
         return float(_witness_kernel(
-            np.array([mu1.weights]), np.array([mu1.atoms]),
-            np.array([mu2.weights]), np.array([mu2.atoms]),
+            np.array(mu1.weights)[:, None], np.array(mu1.atoms)[:, None],
+            np.array(mu2.weights)[:, None], np.array(mu2.atoms)[:, None],
             mu1.ground.dist, drop_abs, skip_cols)[0])
     return _witness_loop(mu1, mu2, drop_abs, skip_cols)
 
@@ -244,16 +249,18 @@ def _witness_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure,
 
 
 def _witness_kernel(w1, a1, w2, a2, dist, drop_abs: bool, skip_cols: bool):
-    """Transport values of P stacked pairs: weights and atoms (P, n1) and (P, n2)."""
-    # g[p, j, k] = wk - wj is the scalar loop's own subtraction, and |g| is
+    """Transport values of P stacked pairs: weights and atoms (n1, P) and (n2, P)."""
+    # Every op and every min/max runs along the long, contiguous pairs axis.
+    # g[j, k, p] = wk - wj is the scalar loop's own subtraction, and |g| is
     # exactly wk - wj where g >= 0 and exactly wj - wk where g <= 0 (a tie
     # gives +0.0 either way), so every masked cost equals the loop's
     # bitwise; min and max do no rounding.
-    g = w2[:, None, :] - w1[:, :, None]
-    c = (g if drop_abs else np.abs(g)) + dist[a1[:, :, None], a2[:, None, :]]
-    h = np.where(g >= 0, c, math.inf).min(axis=2).max(axis=1)
+    g = w2[None, :, :] - w1[:, None, :]
+    d = dist.ravel().take(a1[:, None, :] * len(dist) + a2[None, :, :])
+    c = (g if drop_abs else np.abs(g)) + d
+    h = np.where(g >= 0, c, math.inf).min(axis=1).max(axis=0)
     if not skip_cols:
-        h = np.maximum(h, np.where(g <= 0, c, math.inf).min(axis=1).max(axis=1))
+        h = np.maximum(h, np.where(g <= 0, c, math.inf).min(axis=0).max(axis=0))
     return h
 
 
@@ -291,8 +298,10 @@ def measure_distances(measures, rows, cols) -> np.ndarray:
         for m, n in enumerate(sizes):
             at.append(len(members.setdefault(n, [])))
             members[n].append(m)
-        stacks = {n: (np.array([measures[m].weights for m in ms]),
-                      np.array([measures[m].atoms for m in ms]))
+        # (n, members) arrays, C-contiguous, so that take(axis=1) hands the
+        # kernel contiguous (n, pairs) blocks
+        stacks = {n: (np.array([measures[m].weights for m in ms]).T.copy(),
+                      np.array([measures[m].atoms for m in ms]).T.copy())
                   for n, ms in members.items()}
         at, sizes = np.array(at), np.array(sizes)
         key = sizes[rows] * (top + 1) + sizes[cols]
@@ -312,7 +321,8 @@ def measure_distances(measures, rows, cols) -> np.ndarray:
                 e = min(k + step, hi)
                 r, c = at1[k:e], at2[k:e]
                 out[order[k:e]] = _witness_kernel(
-                    w1[r], a1[r], w2[c], a2[c], ground.dist, drop_abs, skip_cols)
+                    w1.take(r, axis=1), a1.take(r, axis=1), w2.take(c, axis=1),
+                    a2.take(c, axis=1), ground.dist, drop_abs, skip_cols)
     if skip_trunc:
         return out
     d = ground.truncation_diam

@@ -302,3 +302,29 @@ def test_numbers_print_with_12_significant_digits(tmp_path, capsys):
     assert main(["dist", str(path), "d1", "d2"]) == 0
     out = capsys.readouterr().out
     assert "0.333333333333" in out
+
+
+def test_huge_integer_weight_exits_2(tmp_path, capsys):
+    # -1 followed by 400 zeros is a JSON integer beyond the float range
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"space": {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}, "measures": '
+        '{"m": {"support": [{"atom": "a", "weight": 0}, '
+        '{"atom": "b", "weight": -1' + "0" * 400 + '}]}}}')
+    assert main(["dist", str(path), "m", "m"]) == 2
+    assert "non-finite weight -inf in support of 'm'" in capsys.readouterr().err
+
+
+_CHAIN = {f"m{i}": {"support": [{"atom": f"m{i + 1}", "weight": 0}]} for i in range(2999)}
+_CHAIN["m2999"] = {"support": [{"atom": "a", "weight": 0}]}
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000,
+    json.dumps({"space": {"points": ["a"], "dist": [[0]]}, "measures": _CHAIN}),
+], ids=["json", "references"])
+def test_deep_nesting_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["dist", str(path), "m0", "m0"]) == 2
+    assert "error: document nests too deeply" in capsys.readouterr().err

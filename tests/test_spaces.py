@@ -53,6 +53,27 @@ def test_negative_distance_reported():
     assert validate(sp).axiom == "nonnegativity"
 
 
+def test_violation_messages_print_plain_floats():
+    sp = FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]])
+    lifted = FiniteMetricSpace(["p", "q"], [[0, 1], [1, 0]], truncation_diam=0.5, level=1,
+                               points=[tm.dirac(sp, "a"), tm.dirac(sp, "b")], check=False)
+    cases = {
+        "nonnegativity": [[0, np.nan], [np.nan, 0]],
+        "symmetry": [[0, 1], [2, 0]],
+        "zero-diagonal": [[0.5, 1], [1, 0]],
+        "identity-of-indiscernibles": [[0, 0], [0, 0]],
+        "triangle": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+    }
+    spaces = {axiom: FiniteMetricSpace("abc"[:len(d)], d, check=False)
+              for axiom, d in cases.items()}
+    spaces["truncation-bound"] = lifted
+    for axiom, space in spaces.items():
+        v = validate(space)
+        assert v.axiom == axiom
+        assert "np." not in v.message, v.message
+    assert validate(spaces["nonnegativity"]).message.endswith(" is nan")
+
+
 def test_constructor_rejects_invalid_level0():
     with pytest.raises(InvalidSpaceError):
         FiniteMetricSpace(["a", "b"], [[0, 1], [2, 0]])
@@ -194,3 +215,44 @@ def test_index_of_measure(worked):
     assert index_of_measure(L, m2) == 1
     with pytest.raises(ValueError):
         index_of_measure(L, tm.dirac(sp, "a"))
+
+
+def test_index_of_measure_first_within_tol():
+    sp = FiniteMetricSpace(["a", "b"], [[0, 2], [2, 0]])
+    p = tm.make_measure(sp, [("a", 0.0), ("b", -1.0)])
+    q = tm.make_measure(sp, [("a", 0.0), ("b", -1.0 - 1e-10)])
+    r = tm.dirac(sp, "a")
+    L = FiniteMetricSpace(["r", "p", "q"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                          truncation_diam=2.0, level=1, points=[r, p, q])
+    assert index_of_measure(L, q) == 1
+    assert index_of_measure(L, q, tol=0.0) == 2
+    assert index_of_measure(L, r) == 0
+    other = FiniteMetricSpace(["a", "b"], [[0, 2], [2, 0]])
+    with pytest.raises(ValueError):
+        index_of_measure(L, tm.make_measure(other, [("a", 0.0), ("b", -1.0)]))
+    with pytest.raises(InvalidSpaceError):
+        index_of_measure(sp, p)
+
+    def linear_scan(lifted, mu, tol):
+        return [i for i, pt in enumerate(lifted.points) if tm.measures_close(mu, pt, tol)]
+
+    rng = np.random.default_rng(29)
+    ties = 0
+    for _ in range(200):
+        ground = tm.gen_space(int(rng.integers(2, 5)), rng)
+        mus = [tm.gen_measure(ground, 3, rng, weight_span=1.0) for _ in range(8)]
+        # near copies share atoms with a point and sit within some tol of it
+        mus += [tm.make_measure(ground, [(a, w - float(rng.uniform(0, 0.1)) if w else w)
+                                         for a, w in mu.entries()]) for mu in mus[:4]]
+        lifted = lift(ground, mus)
+        queries = mus + [tm.gen_measure(ground, 3, rng, weight_span=1.0) for _ in range(4)]
+        for mu in queries:
+            for tol in (0.0, 1e-9, 0.05, 1.0):
+                close = linear_scan(lifted, mu, tol)
+                ties += len(close) > 1
+                if not close:
+                    with pytest.raises(ValueError):
+                        index_of_measure(lifted, mu, tol)
+                else:
+                    assert index_of_measure(lifted, mu, tol) == close[0]
+    assert ties

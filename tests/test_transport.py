@@ -177,10 +177,10 @@ def _grid_measure(space, size, rng):
 
 
 def _kernel(m1, m2, drop_abs, skip_cols):
-    """The numpy kernel on one pair, as a batch of one."""
+    """The numpy kernel on one pair, as a batch of one in the (n, 1) layout."""
     return float(_witness_kernel(
-        np.array([m1.weights]), np.array([m1.atoms]),
-        np.array([m2.weights]), np.array([m2.atoms]),
+        np.array(m1.weights)[:, None], np.array(m1.atoms)[:, None],
+        np.array(m2.weights)[:, None], np.array(m2.atoms)[:, None],
         m1.ground.dist, drop_abs, skip_cols)[0])
 
 
@@ -299,7 +299,7 @@ def test_lift_matches_pairwise_measure_distance(active):
     with contextlib.ExitStack() as stack:
         for name in active:
             stack.enter_context(defects.inject(name))
-        for case in range(6):
+        for case in range(7):
             # half the cases draw weights on a grid, so that weights tie
             make = _grid_measure if case % 2 else _exact_size_measure
             sizes = rng.choice([1, 2, 3, 5, 16, 64], size=int(rng.integers(8, 14)))
@@ -309,6 +309,9 @@ def test_lift_matches_pairwise_measure_distance(active):
             if case == 5:
                 # too few cells for any group to reach the cutoff
                 sizes = rng.choice([1, 2, 3], size=5)
+            if case == 6:
+                # 4950 pairs of 4 x 4 supports: one group over several chunks
+                sizes = np.full(100, 4)
             mus = [make(sp, int(n), rng) for n in sizes]
             half = len(mus) // 2
             full = tm.lift(sp, mus)
@@ -321,6 +324,8 @@ def test_lift_matches_pairwise_measure_distance(active):
                 assert L.dist.tobytes() == expected.tobytes()
             pairs = Counter((p.support_size, q.support_size)
                             for j, q in enumerate(full.points) for p in full.points[:j])
+            if case == 6:
+                assert pairs[4, 4] * 4 * 4 > transport._CHUNK_CELLS
             sides |= {count * s1 * s2 >= VECTOR_CELL_CUTOFF
                       for (s1, s2), count in pairs.items()}
             most_cells = max(most_cells, *(count * s1 * s2 for (s1, s2), count in pairs.items()))
