@@ -21,6 +21,8 @@ The checks:
 * ``lemma3``   -- if mu is at distance >= eps from every Dirac, then its
   unit-pushforward stays that far from every lifted Dirac, a distance
   taken in closed form: the coupling with a Dirac is unique, so it is exact.
+  Its samples are drawn by the helper behind :func:`gen_measure`, as plain
+  atoms and weights; only the worst one becomes a measure.
 """
 
 import math
@@ -35,7 +37,6 @@ from .spaces import FiniteMetricSpace, lift, lift_extend
 from .transport import (
     bottleneck_distance,
     bottleneck_distance_bruteforce,
-    distance_to_dirac,
     distance_to_diracs,
     measure_distance,
 )
@@ -101,10 +102,14 @@ class LemmaReport:
         return not self.failures
 
     def record(self, index: int, check: str, lhs: float, rhs: float,
-               violation: float, description: str):
+               violation: float, description):
+        """Note one case.  ``description`` is the counterexample text or a
+        zero-argument callable returning it, called only for a failure."""
         if violation > self.max_violation:
             self.max_violation = violation
         if violation > self.tolerance:
+            if callable(description):
+                description = description()
             self.failures.append(
                 CaseFailure(index, check, lhs, rhs, violation, description)
             )
@@ -168,8 +173,18 @@ def gen_space(point_count: int, rng, *, low: float = 0.1,
     w = w + w.T
     np.fill_diagonal(w, 0.0)
     for k in range(n):
-        np.minimum(w, w[:, [k]] + w[[k], :], out=w)
+        np.minimum(w, w[:, k:k + 1] + w[k:k + 1, :], out=w)
     return FiniteMetricSpace(tuple(f"p{i}" for i in range(n)), w)
+
+
+def _draw_entries(n: int, max_support: int, rng, min_support: int, span: float):
+    """Sorted atoms and weights, as plain lists, of a random measure on ``n``
+    points: see :func:`gen_measure`, which checks the arguments."""
+    size = int(rng.integers(min_support, max_support + 1))
+    atoms = sorted(rng.choice(n, size=size, replace=False).tolist())
+    weights = rng.uniform(-span, 0.0, size=size).tolist()
+    weights[int(rng.integers(size))] = 0.0
+    return atoms, weights
 
 
 def gen_measure(space: FiniteMetricSpace, max_support: int, rng, *,
@@ -183,14 +198,10 @@ def gen_measure(space: FiniteMetricSpace, max_support: int, rng, *,
     max_support = min(int(max_support), n)
     if not 1 <= min_support <= max_support:
         raise ValueError("need 1 <= min_support <= max_support <= point count")
-    size = int(rng.integers(min_support, max_support + 1))
-    atoms = np.sort(rng.choice(n, size=size, replace=False))
     span = 2.0 * space.truncation_diam if weight_span is None else float(weight_span)
     if span <= 0:
         span = 1.0
-    weights = rng.uniform(-span, 0.0, size=size)
-    weights[int(rng.integers(size))] = 0.0
-    return make_measure(space, [(int(a), float(w)) for a, w in zip(atoms, weights)])
+    return make_measure(space, zip(*_draw_entries(n, max_support, rng, min_support, span)))
 
 
 def _random_point_count(rng, space_size) -> int:
@@ -211,13 +222,12 @@ def check_axioms(space: FiniteMetricSpace, cases: int, seed,
     report = LemmaReport("axioms", cases, tol,
                          seed if isinstance(seed, int) else None)
     n = len(space)
-    sdesc = _describe_space(space)
     for i in range(cases):
         mu = gen_measure(space, n, rng)
         phi = FunctionOnSpace(space, tuple(rng.uniform(-10, 10, size=n)))
         psi = FunctionOnSpace(space, tuple(rng.uniform(-10, 10, size=n)))
         c = float(rng.uniform(-10, 10))
-        mdesc = f"mu = {_describe_measure(mu)} over {sdesc}"
+        mdesc = lambda: f"mu = {_describe_measure(mu)} over {_describe_space(space)}"
 
         const = FunctionOnSpace(space, (c,) * n)
         lhs = evaluate(mu, const)
@@ -240,9 +250,9 @@ def check_axioms(space: FiniteMetricSpace, cases: int, seed,
         d21 = measure_distance(m2, m1)
         d13 = measure_distance(m1, m3)
         d23 = measure_distance(m2, m3)
-        tdesc = (
+        tdesc = lambda: (
             f"m1 = {_describe_measure(m1)}, m2 = {_describe_measure(m2)}, "
-            f"m3 = {_describe_measure(m3)} over {sdesc}"
+            f"m3 = {_describe_measure(m3)} over {_describe_space(space)}"
         )
         report.record(i, "nonnegativity", d12, 0.0,
                       0.0 if d12 >= 0 else -d12, tdesc)
@@ -291,31 +301,36 @@ def check_lemma2(mu: IdempotentMeasure, x0: int, group_count: int,
 def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng):
     """(eps, worst_rhs, violation, worst_nu) for one separation case.
 
-    eps is the distance from mu to the nearest Dirac; the check samples
-    measures nu (plus every Dirac of the space) and requires the level-2
-    distance between map_unit(mu) and the lifted Dirac at nu to stay
-    above eps, up to tolerance.  That distance is min(diam, max_i(|w_i| +
+    eps is the distance from mu to the nearest Dirac; the check takes every
+    Dirac of the space, then ``sample_count`` draws of the helper behind
+    :func:`gen_measure`, and requires the level-2 distance between
+    map_unit(mu) and the lifted Dirac at each nu to stay above eps, up to
+    tolerance.  That distance is min(diam, max_i(|w_i| +
     distance_to_dirac(nu, x_i))) with no lifted space, bit for bit: the
     lifted kernel's row cost (0.0 - w_i) + D is |w_i| + D exactly and tops
     the column witness, D is distance_to_dirac as ground distances are
-    exactly symmetric, and lifting keeps the diameter.
+    exactly symmetric, and lifting keeps the diameter.  D's own min(diam,
+    .) is left out: where it would cut, the outer min gives diam anyway.
+    Only the worst nu becomes a measure.
     """
     rng = _as_rng(rng)
     ground = mu.ground
+    n = len(ground)
+    rows = ground._rows
     diam = ground.truncation_diam
+    span = 2.0 * diam if diam > 0 else 1.0
     eps = distance_to_diracs(mu)
     worst = math.inf
-    worst_nu = None
-    samples = [dirac(ground, x) for x in range(len(ground))]
-    samples += [
-        gen_measure(ground, len(ground), rng) for _ in range(sample_count)
-    ]
-    for nu in samples:
-        h = max(abs(w) + distance_to_dirac(nu, a) for a, w in mu.entries())
+    draws = [([x], [0.0]) for x in range(n)]
+    draws += [_draw_entries(n, n, rng, 1, span) for _ in range(sample_count)]
+    for atoms, weights in draws:
+        nu_rows = [(abs(v), rows[b]) for b, v in zip(atoms, weights)]
+        h = max(abs(w) + max(v + row[a] for v, row in nu_rows) for a, w in mu.entries())
         rhs = h if h <= diam else diam
         if rhs < worst:
             worst = rhs
-            worst_nu = nu
+            worst_draw = atoms, weights
+    worst_nu = make_measure(ground, zip(*worst_draw))
     return eps, worst, max(0.0, eps - worst), worst_nu
 
 
@@ -356,7 +371,7 @@ def run_oracle_equivalence(cases: int = 500, seed: int = 0,
         violation = 0.0 if h == o else (gap if gap > 0 else math.inf)
         report.record(
             i, "oracle-equivalence", h, o, violation,
-            f"m1 = {_describe_measure(m1)}, m2 = {_describe_measure(m2)} "
+            lambda: f"m1 = {_describe_measure(m1)}, m2 = {_describe_measure(m2)} "
             f"over {_describe_space(space)}",
         )
     return report
@@ -378,7 +393,7 @@ def run_lemma1(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
         lhs, rhs, violation = check_lemma1(M1, M2)
         report.record(
             i, "non-expansion", lhs, rhs, violation,
-            f"M1 = {_describe_measure(M1)}, M2 = {_describe_measure(M2)}, "
+            lambda: f"M1 = {_describe_measure(M1)}, M2 = {_describe_measure(M2)}, "
             f"inner points = {[_describe_measure(p) for p in lifted.points]} "
             f"over {_describe_space(space)}",
         )
@@ -400,7 +415,7 @@ def run_lemma2(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
         lhs, rhs, gap, N = check_lemma2(mu, x0, s, extras, rng)
         report.record(
             i, "preimage-dirac-distance", lhs, rhs, gap,
-            f"mu = {_describe_measure(mu)}, x0 = {space.labels[x0]}, "
+            lambda: f"mu = {_describe_measure(mu)}, x0 = {space.labels[x0]}, "
             f"groups = {s}, extras = {extras}, "
             f"N = {_describe_measure(N)} with atoms "
             f"{[_describe_measure(p) for p in N.ground.points]} "
@@ -421,7 +436,7 @@ def run_lemma3(cases: int = 100, seed: int = 0, tol: float = CAMPAIGN_TOL,
         eps, worst, violation, worst_nu = check_lemma3(mu, sample_count, rng)
         report.record(
             i, "unit-separation", eps, worst, violation,
-            f"mu = {_describe_measure(mu)}, eps = {eps!r}, "
+            lambda: f"mu = {_describe_measure(mu)}, eps = {eps!r}, "
             f"worst nu = {_describe_measure(worst_nu)} "
             f"over {_describe_space(space)}",
         )

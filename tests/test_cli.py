@@ -328,3 +328,22 @@ def test_deep_nesting_exits_2(text, tmp_path, capsys):
     path.write_text(text)
     assert main(["dist", str(path), "m0", "m0"]) == 2
     assert "error: document nests too deeply" in capsys.readouterr().err
+
+
+# the same chain listed leaf first: m_i -> m_{i-1}, so parsing never recurses
+# deeply and only rendering the result does
+_LEAF_FIRST = {"m0": {"support": [{"atom": "a", "weight": 0}]}}
+_LEAF_FIRST.update(
+    (f"m{i}", {"support": [{"atom": f"m{i - 1}", "weight": 0}]}) for i in range(1, 3000))
+
+
+@pytest.mark.parametrize("command", [
+    ["flatten"],
+    ["push", "--map", "mu0=mu0"],
+], ids=["flatten", "push"])
+def test_deep_output_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"space": {"points": ["a"], "dist": [[0]]},
+                                "measures": _LEAF_FIRST}))
+    assert main([command[0], str(path), "m2999", *command[1:]]) == 2
+    assert "error: document nests too deeply" in capsys.readouterr().err

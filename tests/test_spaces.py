@@ -5,6 +5,8 @@ import tropmeas as tm
 from tropmeas.spaces import (
     FiniteMetricSpace,
     InvalidSpaceError,
+    MetricViolation,
+    TRIANGLE_TOL,
     index_of_measure,
     lift,
     lift_extend,
@@ -72,6 +74,44 @@ def test_violation_messages_print_plain_floats():
         assert v.axiom == axiom
         assert "np." not in v.message, v.message
     assert validate(spaces["nonnegativity"]).message.endswith(" is nan")
+
+
+def _first_triangle_violation(d, labels):
+    # reference: one k at a time, then i, then j
+    for k in range(len(labels)):
+        excess = d - (d[:, [k]] + d[[k], :])
+        if (excess > TRIANGLE_TOL).any():
+            i, j = np.argwhere(excess > TRIANGLE_TOL)[0]
+            return k, MetricViolation(
+                "triangle",
+                f"triangle violation: d({labels[i]}, {labels[j]}) = {float(d[i, j])!r} "
+                f"> d via {labels[k]} = {float(d[i, k] + d[k, j])!r}",
+            )
+    return None, None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 20, 50, 130])
+def test_validate_triangle_matches_per_k_loop(n):
+    # up to 20 points all k fit one chunk, 50 takes several, 130 one k each
+    rng = np.random.default_rng(n)
+    labels = [f"p{i}" for i in range(n)]
+    first_ks = []
+    for trial in range(15 if n < 100 else 6):
+        w = np.triu(rng.uniform(0.1, 2.0, size=(n, n)), 1)
+        d = w + w.T
+        if trial % 3:
+            # a shortest-path metric with one distance raised a little
+            for k in range(n):
+                np.minimum(d, d[:, [k]] + d[[k], :], out=d)
+            i, j = rng.choice(n, size=2, replace=False)
+            d[i, j] = d[j, i] = d[i, j] + rng.uniform(0.0, 0.3)
+        k, expected = _first_triangle_violation(d, labels)
+        assert validate(FiniteMetricSpace(labels, d, check=False)) == expected
+        first_ks.append(k)
+    # two points always form a metric
+    assert any(k is not None for k in first_ks) == (n > 2)
+    if n >= 50:
+        assert max(k for k in first_ks if k is not None) >= 2**14 // n**2
 
 
 def test_constructor_rejects_invalid_level0():

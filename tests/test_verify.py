@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import tropmeas as tm
-from tropmeas import defects
+from tropmeas import defects, verify
 from tropmeas.monad import flatten, unit
 from tropmeas.spaces import lift, validate
 from tropmeas.verify import (
+    CAMPAIGN_TOL,
     LemmaReport,
     check_axioms,
     check_lemma1,
@@ -176,6 +177,73 @@ def test_check_lemma3_closed_form_matches_lifted_path():
     assert deduped >= 80
 
 
+def _gen_measure_reference(space, max_support, rng, min_support=1, weight_span=None):
+    # gen_measure's draws spelled with numpy arrays and one measure per call
+    n = len(space)
+    max_support = min(int(max_support), n)
+    size = int(rng.integers(min_support, max_support + 1))
+    atoms = np.sort(rng.choice(n, size=size, replace=False))
+    span = 2.0 * space.truncation_diam if weight_span is None else float(weight_span)
+    if span <= 0:
+        span = 1.0
+    weights = rng.uniform(-span, 0.0, size=size)
+    weights[int(rng.integers(size))] = 0.0
+    return tm.make_measure(space, [(int(a), float(w)) for a, w in zip(atoms, weights)])
+
+
+def _check_lemma3_reference(mu, sample_count, rng):
+    # every Dirac, then every sample, as a measure; distance_to_dirac per atom
+    sp = mu.ground
+    diam = sp.truncation_diam
+    samples = [tm.dirac(sp, x) for x in range(len(sp))]
+    samples += [_gen_measure_reference(sp, len(sp), rng) for _ in range(sample_count)]
+    values = []
+    for nu in samples:
+        h = max(abs(w) + tm.distance_to_dirac(nu, a) for a, w in mu.entries())
+        values.append(h if h <= diam else diam)
+    eps = tm.distance_to_diracs(mu)
+    worst = min(values)
+    return eps, worst, max(0.0, eps - worst), samples[values.index(worst)]
+
+
+def test_gen_measure_matches_reference():
+    rng = np.random.default_rng(41)
+    for case in range(300):
+        sp = gen_space(int(rng.integers(1, 9)), rng)
+        max_support = int(rng.integers(1, 10))
+        min_support = int(rng.integers(1, min(max_support, len(sp)) + 1))
+        span = (None, 0.0, -1.0, 0.5, 7.0)[case % 5]
+        seed = int(rng.integers(2**32))
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = gen_measure(sp, max_support, got_rng, min_support=min_support,
+                          weight_span=span)
+        ref = _gen_measure_reference(sp, max_support, ref_rng, min_support, span)
+        assert got == ref
+        assert [w.hex() for w in got.weights] == [w.hex() for w in ref.weights]
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_check_lemma3_matches_measure_reference():
+    rng = np.random.default_rng(43)
+    sizes = [int(n) for n in rng.integers(1, 8, size=196)] + [64, 64, 130, 256]
+    dirac_only = 0
+    for case, n in enumerate(sizes):
+        sp = gen_space(n, rng)
+        mu = gen_measure(sp, 4, rng, min_support=min(2, n))
+        sample_count = 0 if case % 7 == 0 else int(rng.integers(1, 60))
+        dirac_only += sample_count == 0
+        seed = int(rng.integers(2**32))
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        eps, worst, violation, worst_nu = check_lemma3(mu, sample_count, got_rng)
+        r_eps, r_worst, r_violation, r_nu = _check_lemma3_reference(
+            mu, sample_count, ref_rng)
+        assert (eps.hex(), worst.hex(), violation.hex()) == (
+            r_eps.hex(), r_worst.hex(), r_violation.hex())
+        assert worst_nu == r_nu
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert dirac_only >= 25
+
+
 def test_check_lemma3_small_campaign():
     report = run_lemma3(cases=10, seed=4, sample_count=50)
     assert report.passed, report.to_text()
@@ -218,6 +286,43 @@ def test_report_invariant_and_serialization():
     assert d["failures"][0]["gap"] == 1.0
     text = report.to_text()
     assert "FAIL" in text and "broken" in text
+
+
+def test_record_describes_only_failures():
+    calls = []
+
+    def describe():
+        calls.append(None)
+        return "broken"
+
+    report = LemmaReport("demo", 3, 1e-9, 0)
+    report.record(0, "check", 1.0, 1.0, 0.0, describe)
+    report.record(1, "check", 1.0, 1.0, 1e-9, describe)
+    assert not calls and report.passed
+    report.record(2, "check", 2.0, 1.0, 1.0, describe)
+    assert len(calls) == 1
+    assert report.failures[0].description == "broken"
+
+
+@pytest.mark.parametrize("campaign, cases, tol", [
+    (run_oracle_equivalence, 40, 0.0),
+    (run_axioms, 40, CAMPAIGN_TOL),
+    (run_lemma1, 40, CAMPAIGN_TOL),
+    (run_lemma2, 40, CAMPAIGN_TOL),
+    (run_lemma3, 10, CAMPAIGN_TOL),
+    (run_axioms, 5, -1.0),
+    (run_lemma3, 5, -1.0),
+])
+def test_campaigns_describe_each_failure_once(campaign, cases, tol, monkeypatch):
+    # every counterexample names its space once; passing cases name none
+    described = []
+    describe_space = verify._describe_space
+    monkeypatch.setattr(verify, "_describe_space",
+                        lambda space: described.append(space) or describe_space(space))
+    report = campaign(cases=cases, seed=0, tol=tol)
+    assert len(described) == len(report.failures)
+    assert all(describe_space(space) in f.description
+               for f, space in zip(report.failures, described))
 
 
 def test_oracle_campaign_small():
