@@ -14,7 +14,6 @@ from .measures import (
     IdempotentMeasure,
     NormalizationError,
     SpaceMismatchError,
-    couple_with_dirac,
     dirac,
     evaluate,
     make_measure,
@@ -41,8 +40,6 @@ from .spaces import (
     validate,
 )
 from .transport import (
-    Coupling,
-    SupportPattern,
     bottleneck_distance,
     bottleneck_distance_bruteforce,
     cost,

@@ -26,11 +26,7 @@ from .measures import (
 )
 from .monad import flatten
 from .spaces import FiniteMetricSpace, index_of_measure, lift, validate
-from .transport import (
-    bottleneck_distance,
-    bottleneck_distance_bruteforce,
-    measure_distance,
-)
+from .transport import bottleneck_distance, bottleneck_distance_bruteforce
 from .verify import (
     run_axioms,
     run_lemma1,
@@ -289,7 +285,8 @@ def _load(path: str) -> Document:
     return parse_document(text)
 
 
-def _parse_pairs(spec: str, flag: str) -> dict:
+def _parse_pairs(spec: str, flag: str, space: FiniteMetricSpace) -> dict:
+    """key=value pairs keyed by point labels of ``space``."""
     out = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -298,7 +295,10 @@ def _parse_pairs(spec: str, flag: str) -> dict:
         if "=" not in chunk:
             raise UsageError(f"{flag} expects comma-separated key=value pairs, got {chunk!r}")
         key, _, val = chunk.partition("=")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in space.labels:
+            raise DocumentError(f"{flag} names unknown point label {key!r}")
+        out[key] = val.strip()
     if not out:
         raise UsageError(f"{flag} must not be empty")
     return out
@@ -321,12 +321,11 @@ def cmd_dist(args) -> int:
             f"{args.m1!r} and {args.m2!r} are measures at different levels"
         )
     h = bottleneck_distance(m1, m2)
-    r = measure_distance(m1, m2)
     d = m1.ground.truncation_diam
     if h > d:
-        print(f"H = {_fmt(h)}, rho_I = {_fmt(r)} (truncated at diam = {_fmt(d)})")
+        print(f"H = {_fmt(h)}, rho_I = {_fmt(d)} (truncated at diam = {_fmt(d)})")
     else:
-        print(f"H = {_fmt(h)}, rho_I = {_fmt(r)} (diam = {_fmt(d)}, no truncation)")
+        print(f"H = {_fmt(h)}, rho_I = {_fmt(h)} (diam = {_fmt(d)}, no truncation)")
     if args.oracle:
         try:
             o = bottleneck_distance_bruteforce(m1, m2)
@@ -356,11 +355,11 @@ def cmd_flatten(args) -> int:
 def cmd_push(args) -> int:
     doc = _load(args.file)
     m = doc.measure(args.m)
-    mapping = _parse_pairs(args.map, "--map")
+    mapping = _parse_pairs(args.map, "--map", m.ground)
     try:
         result = pushforward(mapping, m)
     except (ValueError, KeyError) as e:
-        raise DocumentError(str(e)) from None
+        raise DocumentError(e.args[0]) from None
     _print_term(result)
     return EXIT_OK
 
@@ -368,7 +367,7 @@ def cmd_push(args) -> int:
 def cmd_eval(args) -> int:
     doc = _load(args.file)
     m = doc.measure(args.m)
-    pairs = _parse_pairs(args.phi, "--phi")
+    pairs = _parse_pairs(args.phi, "--phi", m.ground)
     try:
         values = {k: float(v) for k, v in pairs.items()}
     except ValueError:

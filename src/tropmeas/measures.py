@@ -29,7 +29,6 @@ __all__ = [
     "dirac",
     "evaluate",
     "pushforward",
-    "couple_with_dirac",
     "measures_close",
     "pointwise_max",
 ]
@@ -209,18 +208,3 @@ def measures_close(a: IdempotentMeasure, b: IdempotentMeasure, tol: float = 1e-9
     if a.ground is not b.ground or a.atoms != b.atoms:
         return False
     return all(abs(x - y) <= tol for x, y in zip(a.weights, b.weights))
-
-
-def couple_with_dirac(mu: IdempotentMeasure, x0):
-    """The unique coupling of ``mu`` with the Dirac at ``x0``.
-
-    Every coupling with a Dirac must put every support atom of ``mu`` in
-    relation with the single target atom, with pair weight equal to the
-    atom's own weight, so the coupling set is a singleton.
-    """
-    from .transport import Coupling
-
-    x0i = _resolve_atom(mu.ground, x0)
-    target = dirac(mu.ground, x0i)
-    pairs = tuple((j, 0, w) for j, w in enumerate(mu.weights))
-    return Coupling(mu, target, pairs)

@@ -207,6 +207,17 @@ def test_cmd_push_undefined_point(worked_file, capsys):
     assert main(["push", worked_file, "m1", "--map", "a=b"]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["push", "m1", "--map", "a=zz,b=b"], "unknown point label 'zz'"),
+    (["push", "m1", "--map", "a=b,b=b,c=a"], "--map names unknown point label 'c'"),
+    (["eval", "m1", "--phi", "a=1,b=5,c=2"], "--phi names unknown point label 'c'"),
+    (["eval", "m1", "--phi", "a=1,b=5,=2"], "--phi names unknown point label ''"),
+])
+def test_unknown_labels_exit_2(argv, message, worked_file, capsys):
+    assert main([argv[0], worked_file, *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cmd_eval(worked_file, capsys):
     assert main(["eval", worked_file, "m1", "--phi", "a=1,b=5"]) == 0
     assert capsys.readouterr().out.strip() == "4"

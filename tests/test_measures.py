@@ -10,7 +10,6 @@ from tropmeas.measures import (
     FunctionOnSpace,
     NormalizationError,
     SpaceMismatchError,
-    couple_with_dirac,
     dirac,
     evaluate,
     make_measure,
@@ -153,19 +152,6 @@ def test_pushforward_evaluation_duality_random(space):
         lhs = evaluate(pushforward(f, mu), phi)
         rhs = evaluate(mu, FunctionOnSpace(space, tuple(phi.values[f[i]] for i in range(n))))
         assert lhs == rhs
-
-
-def test_couple_with_dirac_single_atom(space):
-    c = couple_with_dirac(dirac(space, "a"), "b")
-    assert c.pairs == ((0, 0, 0.0),)
-    assert c.validate() is None
-
-
-def test_couple_with_dirac_worked(space):
-    mu = make_measure(space, [("a", 0.0), ("b", -1.0)])
-    c = couple_with_dirac(mu, "a")
-    assert c.pairs == ((0, 0, 0.0), (1, 0, -1.0))
-    assert c.validate() is None
 
 
 def test_coupling_with_dirac_is_unique(space):

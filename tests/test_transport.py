@@ -11,8 +11,6 @@ from tropmeas import defects, transport
 from tropmeas.transport import (
     ORACLE_CELL_LIMIT,
     VECTOR_CELL_CUTOFF,
-    Coupling,
-    SupportPattern,
     _witness_kernel,
     bottleneck_distance,
     bottleneck_distance_bruteforce,
@@ -44,7 +42,8 @@ def test_cost_examples(worked):
 
 def test_pattern_feasible_full_pattern_always(worked):
     _, m1, m2 = worked
-    assert pattern_feasible(SupportPattern.full(m1, m2), m1, m2)
+    full = [(j, k) for j in range(m1.support_size) for k in range(m2.support_size)]
+    assert pattern_feasible(full, m1, m2)
 
 
 def test_pattern_feasible_dirac_pair(worked):
@@ -71,9 +70,22 @@ def test_pattern_feasible_weight_witness_required():
 
 def test_empty_pattern_rejected(worked):
     _, m1, m2 = worked
-    with pytest.raises(ValueError):
-        SupportPattern(frozenset())
     assert not pattern_feasible([], m1, m2)
+
+
+def test_pattern_feasible_takes_plain_pairs(worked):
+    _, m1, m2 = worked
+    for bad in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            pattern_feasible([(0, 0), bad], m1, m2)
+    # repeats and one-shot iterators read as the set of their pairs
+    cells = list(itertools.product(range(2), repeat=2))
+    for r in range(1, len(cells) + 1):
+        for pattern in itertools.combinations(cells, r):
+            expected = pattern_feasible(set(pattern), m1, m2)
+            assert pattern_feasible([*pattern, *pattern[::-1]], m1, m2) == expected
+            assert pattern_feasible(iter(pattern), m1, m2) == expected
+    assert pattern_feasible(itertools.product(range(2), repeat=2), m1, m2)
 
 
 def test_bottleneck_worked_example(worked):
@@ -386,31 +398,3 @@ def test_space_mismatch_rejected(worked):
         bottleneck_distance(m1, m_other)
     with pytest.raises(tm.SpaceMismatchError):
         measure_distance(m1, m_other)
-
-
-def test_coupling_validation_catches_violations(worked):
-    _, m1, m2 = worked
-    good = tm.couple_with_dirac(m1, "a")
-    assert good.validate() is None
-    # cap violation: pair weight above min of marginals
-    bad = Coupling(good.mu1, good.mu2, ((0, 0, 0.0), (1, 0, -0.5)))
-    assert "marginal" in bad.validate()
-    # missing row
-    bad = Coupling(good.mu1, good.mu2, ((0, 0, 0.0),))
-    assert "row marginal" in bad.validate()
-    # duplicate pair
-    bad = Coupling(good.mu1, good.mu2, ((0, 0, 0.0), (0, 0, 0.0), (1, 0, -1.0)))
-    assert "duplicate" in bad.validate()
-    # every row attained, but the target's column 0 (weight -3) has no pair
-    bad = Coupling(m1, m2, ((0, 1, 0.0), (1, 1, -1.0)))
-    assert "column marginal at 0" in bad.validate()
-    # no pairs at all
-    bad = Coupling(m1, m2, ())
-    assert "row marginal at 0" in bad.validate()
-
-
-def test_induced_pair_weights_are_normalized(worked):
-    _, m1, m2 = worked
-    c = tm.couple_with_dirac(m1, "b")
-    assert max(g for _, _, g in c.pairs) == 0.0
-    assert c.validate() is None
