@@ -203,7 +203,7 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
     return None
 
 
-def _build(level: int, diam: float, base, measures, check: bool):
+def _build(level: int, diam: float, base, measures):
     """The lifted space over the points of ``base`` (or none) and ``measures``.
 
     The distance block of ``base`` is copied; only pairs with a new
@@ -239,19 +239,16 @@ def _build(level: int, diam: float, base, measures, check: bool):
         truncation_diam=diam,
         level=level,
         points=tuple(pts),
-        check=check,
+        check=False,
     )
 
 
-def lift(ground: FiniteMetricSpace, measures, *, check=False) -> FiniteMetricSpace:
+def lift(ground: FiniteMetricSpace, measures) -> FiniteMetricSpace:
     """Build the space of measures over ``ground`` spanned by ``measures``.
 
     Pairwise distances are the truncated transport metric; duplicate
     measures (equal supports, weights within 1e-9) merge to one point; the
-    truncation diameter is inherited from the ground space.  ``check=True``
-    additionally runs the metric axioms on the computed matrix, which is
-    meant for tests: the triangle inequality of the transport metric is a
-    property under test, not an assumption.
+    truncation diameter is inherited from the ground space.
     """
     from .measures import SpaceMismatchError
 
@@ -261,10 +258,10 @@ def lift(ground: FiniteMetricSpace, measures, *, check=False) -> FiniteMetricSpa
     for m in measures:
         if m.ground is not ground:
             raise SpaceMismatchError("all lifted measures must share the ground space")
-    return _build(ground.level + 1, ground.truncation_diam, None, measures, check)
+    return _build(ground.level + 1, ground.truncation_diam, None, measures)
 
 
-def lift_extend(lifted: FiniteMetricSpace, extra_measures, *, check=False) -> FiniteMetricSpace:
+def lift_extend(lifted: FiniteMetricSpace, extra_measures) -> FiniteMetricSpace:
     """Extend a lifted space with further measures, reusing known distances.
 
     Equivalent to re-lifting the union, but the distance block between
@@ -273,7 +270,7 @@ def lift_extend(lifted: FiniteMetricSpace, extra_measures, *, check=False) -> Fi
     """
     if lifted.level < 1:
         raise InvalidSpaceError("lift_extend needs a lifted space")
-    extended = _build(lifted.level, lifted.truncation_diam, lifted, extra_measures, check)
+    extended = _build(lifted.level, lifted.truncation_diam, lifted, extra_measures)
     return lifted if extended is None else extended
 
 

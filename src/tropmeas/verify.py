@@ -1,7 +1,8 @@
 """Randomized verification campaigns for the metric and monad properties.
 
-Each campaign draws seeded random spaces and measures, runs one executable
-property per case, and collects a :class:`LemmaReport` holding every
+Every campaign is one loop: one rng drawn from the seed, then per case a
+fresh random space and the campaign's own draws and comparisons, each
+recorded with the case index in one :class:`LemmaReport` holding every
 failure with its full inputs and both sides of the comparison.  Campaigns
 are reproducible: the same seed and parameters give the same report.
 
@@ -26,7 +27,8 @@ The checks:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -75,16 +77,6 @@ class CaseFailure:
     gap: float
     description: str
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "description": self.description,
-        }
-
 
 @dataclass
 class LemmaReport:
@@ -115,15 +107,7 @@ class LemmaReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "cases": self.cases,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "passed": self.passed,
-            "max_violation": self.max_violation,
-            "failures": [f.to_dict() for f in self.failures],
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_text(self) -> str:
         lines = [
@@ -204,71 +188,57 @@ def gen_measure(space: FiniteMetricSpace, max_support: int, rng, *,
     return make_measure(space, zip(*_draw_entries(n, max_support, rng, min_support, span)))
 
 
-def _random_point_count(rng, space_size) -> int:
-    if space_size is not None:
-        return int(space_size)
-    return int(rng.integers(3, 7))
-
-
 # ---------------------------------------------------------------------------
 # per-case checks
+
+
+def _axioms_case(space: FiniteMetricSpace, rng, record):
+    n = len(space)
+    mu = gen_measure(space, n, rng)
+    phi = FunctionOnSpace(space, tuple(rng.uniform(-10, 10, size=n)))
+    psi = FunctionOnSpace(space, tuple(rng.uniform(-10, 10, size=n)))
+    c = float(rng.uniform(-10, 10))
+    mdesc = lambda: f"mu = {_describe_measure(mu)} over {_describe_space(space)}"
+
+    const = FunctionOnSpace(space, (c,) * n)
+    lhs = evaluate(mu, const)
+    record("constants", lhs, c, 0.0 if lhs == c else abs(lhs - c), mdesc)
+
+    lhs = evaluate(mu, phi.shift(c))
+    rhs = evaluate(mu, phi) + c
+    record("shift", lhs, rhs, abs(lhs - rhs), mdesc)
+
+    lhs = evaluate(mu, pointwise_max(phi, psi))
+    rhs = max(evaluate(mu, phi), evaluate(mu, psi))
+    record("max", lhs, rhs, 0.0 if lhs == rhs else abs(lhs - rhs), mdesc)
+
+    m1 = gen_measure(space, n, rng)
+    m2 = gen_measure(space, n, rng)
+    m3 = gen_measure(space, n, rng)
+    d11 = measure_distance(m1, m1)
+    d12 = measure_distance(m1, m2)
+    d21 = measure_distance(m2, m1)
+    d13 = measure_distance(m1, m3)
+    d23 = measure_distance(m2, m3)
+    tdesc = lambda: (
+        f"m1 = {_describe_measure(m1)}, m2 = {_describe_measure(m2)}, "
+        f"m3 = {_describe_measure(m3)} over {_describe_space(space)}"
+    )
+    record("nonnegativity", d12, 0.0, 0.0 if d12 >= 0 else -d12, tdesc)
+    record("symmetry", d12, d21, 0.0 if d12 == d21 else abs(d12 - d21), tdesc)
+    record("self-distance", d11, 0.0, abs(d11), tdesc)
+    if m1 != m2:
+        record("identity-of-indiscernibles", d12, 0.0, 0.0 if d12 > 0 else 1.0, tdesc)
+    record("triangle", d13, d12 + d23, max(0.0, d13 - (d12 + d23)), tdesc)
+    diam = space.truncation_diam
+    record("diameter-bound", d12, diam, max(0.0, d12 - diam), tdesc)
 
 
 def check_axioms(space: FiniteMetricSpace, cases: int, seed,
                  tol: float = CAMPAIGN_TOL) -> LemmaReport:
     """Functional axioms of evaluation and metric axioms of the distance,
     on random data over one fixed space."""
-    rng = _as_rng(seed)
-    report = LemmaReport("axioms", cases, tol,
-                         seed if isinstance(seed, int) else None)
-    n = len(space)
-    for i in range(cases):
-        mu = gen_measure(space, n, rng)
-        phi = FunctionOnSpace(space, tuple(rng.uniform(-10, 10, size=n)))
-        psi = FunctionOnSpace(space, tuple(rng.uniform(-10, 10, size=n)))
-        c = float(rng.uniform(-10, 10))
-        mdesc = lambda: f"mu = {_describe_measure(mu)} over {_describe_space(space)}"
-
-        const = FunctionOnSpace(space, (c,) * n)
-        lhs = evaluate(mu, const)
-        report.record(i, "constants", lhs, c,
-                      0.0 if lhs == c else abs(lhs - c), mdesc)
-
-        lhs = evaluate(mu, phi.shift(c))
-        rhs = evaluate(mu, phi) + c
-        report.record(i, "shift", lhs, rhs, abs(lhs - rhs), mdesc)
-
-        lhs = evaluate(mu, pointwise_max(phi, psi))
-        rhs = max(evaluate(mu, phi), evaluate(mu, psi))
-        report.record(i, "max", lhs, rhs,
-                      0.0 if lhs == rhs else abs(lhs - rhs), mdesc)
-
-        m1 = gen_measure(space, n, rng)
-        m2 = gen_measure(space, n, rng)
-        m3 = gen_measure(space, n, rng)
-        d12 = measure_distance(m1, m2)
-        d21 = measure_distance(m2, m1)
-        d13 = measure_distance(m1, m3)
-        d23 = measure_distance(m2, m3)
-        tdesc = lambda: (
-            f"m1 = {_describe_measure(m1)}, m2 = {_describe_measure(m2)}, "
-            f"m3 = {_describe_measure(m3)} over {_describe_space(space)}"
-        )
-        report.record(i, "nonnegativity", d12, 0.0,
-                      0.0 if d12 >= 0 else -d12, tdesc)
-        report.record(i, "symmetry", d12, d21,
-                      0.0 if d12 == d21 else abs(d12 - d21), tdesc)
-        report.record(i, "self-distance", measure_distance(m1, m1), 0.0,
-                      abs(measure_distance(m1, m1)), tdesc)
-        if m1 != m2:
-            report.record(i, "identity-of-indiscernibles", d12, 0.0,
-                          0.0 if d12 > 0 else 1.0, tdesc)
-        report.record(i, "triangle", d13, d12 + d23,
-                      max(0.0, d13 - (d12 + d23)), tdesc)
-        diam = space.truncation_diam
-        report.record(i, "diameter-bound", d12, diam,
-                      max(0.0, d12 - diam), tdesc)
-    return report
+    return _campaign("axioms", cases, seed, tol, space, _axioms_case)
 
 
 def check_lemma1(M1: IdempotentMeasure, M2: IdempotentMeasure):
@@ -338,20 +308,28 @@ def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng):
 # campaign drivers
 
 
+def _campaign(check: str, cases: int, seed, tol: float, space, case) -> LemmaReport:
+    """The one campaign loop: an rng from ``seed``, then per case a space
+    and ``case(space, rng, record)``, where ``record`` is
+    :meth:`LemmaReport.record` with the case index bound.  ``space`` is a
+    fixed :class:`FiniteMetricSpace`, or the point count of a fresh random
+    space per case (None: 3-6 points, drawn per case).  The report keeps an
+    integer seed; a Generator passed as ``seed`` is reported as None."""
+    rng = _as_rng(seed)
+    report = LemmaReport(check, cases, tol,
+                         seed if isinstance(seed, (int, np.integer)) else None)
+    fixed = isinstance(space, FiniteMetricSpace)
+    for i in range(cases):
+        ground = space if fixed else gen_space(
+            rng.integers(3, 7) if space is None else space, rng)
+        case(ground, rng, partial(report.record, i))
+    return report
+
+
 def run_axioms(cases: int = 1000, seed: int = 0, tol: float = CAMPAIGN_TOL,
                space_size: int | None = None) -> LemmaReport:
     """Axioms over a fresh random space per case."""
-    rng = _as_rng(seed)
-    report = LemmaReport("axioms", cases, tol, seed)
-    for i in range(cases):
-        space = gen_space(_random_point_count(rng, space_size), rng)
-        sub = check_axioms(space, 1, rng, tol)
-        for f in sub.failures:
-            f.index = i
-            report.failures.append(f)
-        if sub.max_violation > report.max_violation:
-            report.max_violation = sub.max_violation
-    return report
+    return _campaign("axioms", cases, seed, tol, space_size, _axioms_case)
 
 
 def run_oracle_equivalence(cases: int = 500, seed: int = 0,
@@ -359,85 +337,73 @@ def run_oracle_equivalence(cases: int = 500, seed: int = 0,
                            space_size: int | None = None,
                            max_support: int = 4) -> LemmaReport:
     """Witness-based transport value vs. brute-force enumeration, bitwise."""
-    rng = _as_rng(seed)
-    report = LemmaReport("oracle", cases, tol, seed)
-    for i in range(cases):
-        space = gen_space(_random_point_count(rng, space_size), rng)
+    def case(space, rng, record):
         m1 = gen_measure(space, max_support, rng)
         m2 = gen_measure(space, max_support, rng)
         h = bottleneck_distance(m1, m2)
         o = bottleneck_distance_bruteforce(m1, m2)
         gap = abs(h - o)
         violation = 0.0 if h == o else (gap if gap > 0 else math.inf)
-        report.record(
-            i, "oracle-equivalence", h, o, violation,
+        record(
+            "oracle-equivalence", h, o, violation,
             lambda: f"m1 = {_describe_measure(m1)}, m2 = {_describe_measure(m2)} "
             f"over {_describe_space(space)}",
         )
-    return report
+    return _campaign("oracle", cases, seed, tol, space_size, case)
 
 
 def run_lemma1(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
                space_size: int | None = None, max_outer: int = 3,
                max_inner: int = 3) -> LemmaReport:
     """Non-expansion of flatten on random level-2 pairs."""
-    rng = _as_rng(seed)
-    report = LemmaReport("lemma1", cases, tol, seed)
-    for i in range(cases):
-        space = gen_space(_random_point_count(rng, space_size), rng)
+    def case(space, rng, record):
         pool_size = int(rng.integers(2, 2 * max_outer + 1))
         pool = [gen_measure(space, max_inner, rng) for _ in range(pool_size)]
         lifted = lift(space, pool)
         M1 = gen_measure(lifted, max_outer, rng)
         M2 = gen_measure(lifted, max_outer, rng)
         lhs, rhs, violation = check_lemma1(M1, M2)
-        report.record(
-            i, "non-expansion", lhs, rhs, violation,
+        record(
+            "non-expansion", lhs, rhs, violation,
             lambda: f"M1 = {_describe_measure(M1)}, M2 = {_describe_measure(M2)}, "
             f"inner points = {[_describe_measure(p) for p in lifted.points]} "
             f"over {_describe_space(space)}",
         )
-    return report
+    return _campaign("lemma1", cases, seed, tol, space_size, case)
 
 
 def run_lemma2(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
                space_size: int | None = None, max_support: int = 4,
                max_extras: int = 3) -> LemmaReport:
     """Dirac distance vs. level-2 distance to sampled flatten-preimages."""
-    rng = _as_rng(seed)
-    report = LemmaReport("lemma2", cases, tol, seed)
-    for i in range(cases):
-        space = gen_space(_random_point_count(rng, space_size), rng)
+    def case(space, rng, record):
         mu = gen_measure(space, max_support, rng)
         x0 = int(rng.integers(len(space)))
         s = int(rng.integers(1, mu.support_size + 1))
         extras = int(rng.integers(0, max_extras + 1))
         lhs, rhs, gap, N = check_lemma2(mu, x0, s, extras, rng)
-        report.record(
-            i, "preimage-dirac-distance", lhs, rhs, gap,
+        record(
+            "preimage-dirac-distance", lhs, rhs, gap,
             lambda: f"mu = {_describe_measure(mu)}, x0 = {space.labels[x0]}, "
             f"groups = {s}, extras = {extras}, "
             f"N = {_describe_measure(N)} with atoms "
             f"{[_describe_measure(p) for p in N.ground.points]} "
             f"over {_describe_space(space)}",
         )
-    return report
+    return _campaign("lemma2", cases, seed, tol, space_size, case)
 
 
 def run_lemma3(cases: int = 100, seed: int = 0, tol: float = CAMPAIGN_TOL,
                space_size: int | None = None, sample_count: int = 200,
                max_support: int = 4) -> LemmaReport:
     """Separation from the Diracs survives the unit pushforward."""
-    rng = _as_rng(seed)
-    report = LemmaReport("lemma3", cases, tol, seed)
-    for i in range(cases):
-        space = gen_space(_random_point_count(rng, space_size), rng)
+    def case(space, rng, record):
         mu = gen_measure(space, max_support, rng, min_support=2)
         eps, worst, violation, worst_nu = check_lemma3(mu, sample_count, rng)
-        report.record(
-            i, "unit-separation", eps, worst, violation,
+        record(
+            "unit-separation", eps, worst, violation,
             lambda: f"mu = {_describe_measure(mu)}, eps = {eps!r}, "
             f"worst nu = {_describe_measure(worst_nu)} "
             f"over {_describe_space(space)}",
         )
-    return report
+    return _campaign("lemma3", cases, seed, tol, space_size, case)

@@ -218,6 +218,17 @@ def test_unknown_labels_exit_2(argv, message, worked_file, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "m1", "--phi", "a=1,b=5,a=9"], "--phi names point label 'a' twice"),
+    (["push", "m1", "--map", "a=a,b=b,a=b"], "--map names point label 'a' twice"),
+])
+def test_repeated_key_exits_2(argv, message, worked_file, capsys):
+    assert main([argv[0], worked_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cmd_eval(worked_file, capsys):
     assert main(["eval", worked_file, "m1", "--phi", "a=1,b=5"]) == 0
     assert capsys.readouterr().out.strip() == "4"
@@ -286,6 +297,10 @@ def test_verify_reports_violations_with_exit_3(capsys):
     ["lemma3", "--space-size", "1"],
     ["oracle", "--space-size", "1000000000"],
     ["oracle", "--seed", "-1"],
+    ["oracle", "--space-size", "1"],
+    ["axioms", "--space-size", "1"],
+    ["lemma1", "--space-size", "1"],
+    ["lemma2", "--space-size", "1"],
 ])
 def test_verify_rejects_bad_arguments(argv, capsys):
     assert main(["verify", *argv]) == 1
@@ -296,7 +311,7 @@ def test_verify_rejects_bad_arguments(argv, capsys):
 
 def test_verify_accepts_smallest_space(capsys):
     assert main(["verify", "lemma3", "--cases", "2", "--space-size", "2"]) == 0
-    assert main(["verify", "oracle", "--cases", "5", "--space-size", "1",
+    assert main(["verify", "oracle", "--cases", "5", "--space-size", "2",
                  "--tol", "0"]) == 0
 
 

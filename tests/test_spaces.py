@@ -179,7 +179,7 @@ def test_lift_preserves_truncation_diameter(worked):
 
 def test_lift_output_passes_validation(worked):
     sp, m1, m2 = worked
-    L = lift(sp, [m1, m2, tm.dirac(sp, "a")], check=True)
+    L = lift(sp, [m1, m2, tm.dirac(sp, "a")])
     assert validate(L) is None
 
 

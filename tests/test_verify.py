@@ -325,6 +325,24 @@ def test_campaigns_describe_each_failure_once(campaign, cases, tol, monkeypatch)
                for f, space in zip(report.failures, described))
 
 
+#: The checks of one axioms case, in the order the case records them.
+AXIOM_CHECKS = ("constants", "shift", "max", "nonnegativity", "symmetry", "self-distance",
+                "identity-of-indiscernibles", "triangle", "diameter-bound")
+
+
+def test_axioms_failures_come_in_case_and_check_order():
+    # with tol -1 every record is a failure, so the failures list every
+    # check of every case, in case order and in the case's fixed check
+    # order (these seeds draw m1 != m2, so identity-of-indiscernibles runs)
+    sp = gen_space(5, np.random.default_rng(8))
+    reports = [run_axioms(cases=3, seed=11, tol=-1),
+               check_axioms(sp, 3, np.random.default_rng(1), tol=-1)]
+    assert reports[0].seed == 11 and reports[1].seed is None
+    for report in reports:
+        assert [(f.index, f.check) for f in report.failures] == [
+            (i, check) for i in range(3) for check in AXIOM_CHECKS]
+
+
 def test_oracle_campaign_small():
     report = run_oracle_equivalence(cases=80, seed=5)
     assert report.passed
@@ -358,9 +376,10 @@ RECORDED_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.j
 @pytest.mark.parametrize("seed", [0, 2])
 def test_campaign_digests_match_the_recorded_ones(seed):
     # a speed-up must keep campaign results bitwise: failure count and the
-    # exact bits of the largest violation (seed 2 is one where lemma1 fails)
+    # exact bits of the largest violation; seed 0 checks all five campaigns,
+    # seed 2 (one where lemma1 fails) lemma1 and the oracle
     recorded = json.loads(RECORDED_DIGESTS.read_text())[str(seed)]
-    for fn in ("run_lemma1", "run_oracle_equivalence"):
+    for fn in recorded if seed == 0 else ("run_lemma1", "run_oracle_equivalence"):
         report = getattr(tm, fn)(seed=seed)
         digest = f"{report.check}:{len(report.failures)}:{report.max_violation.hex()}"
         assert digest == recorded[fn], fn
