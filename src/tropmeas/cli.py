@@ -28,6 +28,7 @@ from .monad import flatten
 from .spaces import FiniteMetricSpace, index_of_measure, lift, validate
 from .transport import bottleneck_distance, bottleneck_distance_bruteforce
 from .verify import (
+    MIN_SPACE_SIZE,
     run_axioms,
     run_lemma1,
     run_lemma2,
@@ -391,9 +392,6 @@ _CAMPAIGNS = {
     "lemma3": run_lemma3,
 }
 
-#: Smallest --space-size: on one point every measure is the one Dirac, so
-#: every case compares a Dirac with itself and checks nothing.
-MIN_SPACE_SIZE = 2
 #: Largest --space-size, so that the n x n distance matrix fits in memory.
 MAX_SPACE_SIZE = 1024
 

@@ -49,7 +49,6 @@ import math
 
 import numpy as np
 
-from . import defects
 from .measures import IdempotentMeasure, SpaceMismatchError, _resolve_atom
 
 __all__ = [
@@ -91,8 +90,8 @@ def _same_space(mu1: IdempotentMeasure, mu2: IdempotentMeasure):
 def cost(j: int, k: int, mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     """Pair cost |w2[k] - w1[j]| + d(x1[j], x2[k]).
 
-    A reference for tests and witness certificates: it reads no defect
-    switch, so a defect in the kernels cannot bend it too.
+    A reference for tests and witness certificates: no defect patches it,
+    so a defect in the kernels cannot bend it too.
     """
     _same_space(mu1, mu2)
     gap = abs(mu2.weights[k] - mu1.weights[j])
@@ -140,24 +139,20 @@ def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float
     float, bit for bit.
     """
     _same_space(mu1, mu2)
-    drop_abs = defects.enabled("drop-cost-abs")
-    skip_cols = defects.enabled("skip-column-witnesses")
     if mu1.support_size * mu2.support_size >= VECTOR_CELL_CUTOFF:
         return float(_witness_kernel(
             np.array(mu1.weights)[:, None], np.array(mu1.atoms)[:, None],
             np.array(mu2.weights)[:, None], np.array(mu2.atoms)[:, None],
-            mu1.ground.dist, drop_abs, skip_cols)[0])
-    return _witness_loop(mu1, mu2, drop_abs, skip_cols)
+            mu1.ground.dist)[0])
+    return _witness_loop(mu1, mu2)
 
 
-def _witness_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure,
-                  drop_abs: bool, skip_cols: bool) -> float:
+def _witness_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     w1, w2 = mu1.weights, mu2.weights
-    rows = mu1.ground._rows
-    p1 = [rows[a] for a in mu1.atoms]
+    p1 = [mu1.ground._rows[a] for a in mu1.atoms]
     a2 = mu2.atoms
 
-    best = -math.inf
+    rows = -math.inf
     for j, wj in enumerate(w1):
         dj = p1[j]
         m = math.inf
@@ -167,23 +162,22 @@ def _witness_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure,
                 c = (wk - wj) + dj[a2[k]]
                 if c < m:
                     m = c
-        if m > best:
-            best = m
-    if not skip_cols:
-        for k, wk in enumerate(w2):
-            m = math.inf
-            for j, wj in enumerate(w1):
-                if wj >= wk:
-                    gap = (wk - wj) if drop_abs else (wj - wk)
-                    c = gap + p1[j][a2[k]]
-                    if c < m:
-                        m = c
-            if m > best:
-                best = m
-    return best
+        if m > rows:
+            rows = m
+    cols = -math.inf
+    for k, wk in enumerate(w2):
+        m = math.inf
+        for j, wj in enumerate(w1):
+            if wj >= wk:
+                c = (wj - wk) + p1[j][a2[k]]
+                if c < m:
+                    m = c
+        if m > cols:
+            cols = m
+    return max(rows, cols)
 
 
-def _witness_kernel(w1, a1, w2, a2, dist, drop_abs: bool, skip_cols: bool):
+def _witness_kernel(w1, a1, w2, a2, dist):
     """Transport values of P stacked pairs: weights and atoms (n1, P) and (n2, P)."""
     # Every op and every min/max runs along the long, contiguous pairs axis.
     # g[j, k, p] = wk - wj is the scalar loop's own subtraction, and |g| is
@@ -192,11 +186,10 @@ def _witness_kernel(w1, a1, w2, a2, dist, drop_abs: bool, skip_cols: bool):
     # bitwise; min and max do no rounding.
     g = w2[None, :, :] - w1[:, None, :]
     d = dist.ravel().take(a1[:, None, :] * len(dist) + a2[None, :, :])
-    c = (g if drop_abs else np.abs(g)) + d
-    h = np.where(g >= 0, c, math.inf).min(axis=1).max(axis=0)
-    if not skip_cols:
-        h = np.maximum(h, np.where(g <= 0, c, math.inf).min(axis=0).max(axis=0))
-    return h
+    c = np.abs(g) + d
+    rows = np.where(g >= 0, c, math.inf).min(axis=1).max(axis=0)
+    cols = np.where(g <= 0, c, math.inf).min(axis=0).max(axis=0)
+    return np.maximum(rows, cols)
 
 
 def measure_distances(measures, rows, cols) -> np.ndarray:
@@ -207,19 +200,16 @@ def measure_distances(measures, rows, cols) -> np.ndarray:
     Pairs are grouped by their exact support sizes.  A group of at least
     VECTOR_CELL_CUTOFF cells in all (pairs x n1 x n2) goes through the
     numpy kernel in chunks of about _CHUNK_CELLS cells, a smaller group
-    through the scalar loop.  The defect switches are read once per call.
+    through the scalar loop.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     for mu in measures:
         _same_space(measures[0], mu)
     ground = measures[0].ground
-    drop_abs = defects.enabled("drop-cost-abs")
-    skip_cols = defects.enabled("skip-column-witnesses")
-    skip_trunc = defects.enabled("skip-truncation")
 
     def loop(i, j):
-        return [_witness_loop(measures[a], measures[b], drop_abs, skip_cols)
+        return [_witness_loop(measures[a], measures[b])
                 for a, b in zip(i.tolist(), j.tolist())]
 
     sizes = [mu.support_size for mu in measures]
@@ -257,9 +247,7 @@ def measure_distances(measures, rows, cols) -> np.ndarray:
                 r, c = at1[k:e], at2[k:e]
                 out[order[k:e]] = _witness_kernel(
                     w1.take(r, axis=1), a1.take(r, axis=1), w2.take(c, axis=1),
-                    a2.take(c, axis=1), ground.dist, drop_abs, skip_cols)
-    if skip_trunc:
-        return out
+                    a2.take(c, axis=1), ground.dist)
     d = ground.truncation_diam
     return np.where(out <= d, out, d)
 
@@ -308,8 +296,6 @@ def bottleneck_distance_bruteforce(mu1: IdempotentMeasure,
 def measure_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     """The metric on measures: transport value truncated at the diameter."""
     h = bottleneck_distance(mu1, mu2)
-    if defects.enabled("skip-truncation"):
-        return h
     d = mu1.ground.truncation_diam
     return h if h <= d else d
 

@@ -65,6 +65,10 @@ __all__ = [
 #: terms and accumulate ulps.  Single-level algebra uses 1e-12.
 CAMPAIGN_TOL = 1e-9
 
+#: Smallest random space of a campaign: on one point every measure is the
+#: one Dirac, so every case compares a Dirac with itself and checks nothing.
+MIN_SPACE_SIZE = 2
+
 
 @dataclass
 class CaseFailure:
@@ -313,12 +317,16 @@ def _campaign(check: str, cases: int, seed, tol: float, space, case) -> LemmaRep
     and ``case(space, rng, record)``, where ``record`` is
     :meth:`LemmaReport.record` with the case index bound.  ``space`` is a
     fixed :class:`FiniteMetricSpace`, or the point count of a fresh random
-    space per case (None: 3-6 points, drawn per case).  The report keeps an
-    integer seed; a Generator passed as ``seed`` is reported as None."""
+    space per case (None: 3-6 points, drawn per case), at least
+    MIN_SPACE_SIZE.  The report keeps an integer seed; a Generator passed
+    as ``seed`` is reported as None."""
+    fixed = isinstance(space, FiniteMetricSpace)
+    if not fixed and space is not None and space < MIN_SPACE_SIZE:
+        raise ValueError(
+            f"space_size must be at least {MIN_SPACE_SIZE}, got {space}")
     rng = _as_rng(seed)
     report = LemmaReport(check, cases, tol,
                          seed if isinstance(seed, (int, np.integer)) else None)
-    fixed = isinstance(space, FiniteMetricSpace)
     for i in range(cases):
         ground = space if fixed else gen_space(
             rng.integers(3, 7) if space is None else space, rng)

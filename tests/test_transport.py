@@ -188,12 +188,12 @@ def _grid_measure(space, size, rng):
     return _measure(space, atoms, -0.25 * rng.integers(0, 5, size=size))
 
 
-def _kernel(m1, m2, drop_abs, skip_cols):
+def _kernel(m1, m2):
     """The numpy kernel on one pair, as a batch of one in the (n, 1) layout."""
     return float(_witness_kernel(
         np.array(m1.weights)[:, None], np.array(m1.atoms)[:, None],
         np.array(m2.weights)[:, None], np.array(m2.atoms)[:, None],
-        m1.ground.dist, drop_abs, skip_cols)[0])
+        m1.ground.dist)[0])
 
 
 def _min_worst_cost_over_patterns(m1, m2):
@@ -231,7 +231,7 @@ def test_vector_kernel_agrees_with_bruteforce():
         else:
             m1, m2 = (_grid_measure(sp, int(rng.integers(1, 5)), rng) for _ in range(2))
         assert m1.support_size * m2.support_size <= ORACLE_CELL_LIMIT
-        h = _kernel(m1, m2, False, False)
+        h = _kernel(m1, m2)
         assert h.hex() == bottleneck_distance_bruteforce(m1, m2).hex()
 
 
@@ -254,7 +254,7 @@ def test_vector_kernel_matches_scalar_loop_bitwise(drop_abs, skip_cols, monkeypa
             else:
                 m1, m2 = _grid_measure(sp, n1, rng), _grid_measure(sp, n2, rng)
             sizes.add(n1 * n2 >= VECTOR_CELL_CUTOFF)
-            v = _kernel(m1, m2, drop_abs, skip_cols)
+            v = _kernel(m1, m2)
             assert v.hex() == bottleneck_distance(m1, m2).hex()
     assert sizes == {False, True}
 

@@ -1,3 +1,6 @@
+import contextlib
+import inspect
+import itertools
 import json
 from pathlib import Path
 
@@ -5,7 +8,7 @@ import numpy as np
 import pytest
 
 import tropmeas as tm
-from tropmeas import defects, verify
+from tropmeas import defects, transport, verify
 from tropmeas.monad import flatten, unit
 from tropmeas.spaces import lift, validate
 from tropmeas.verify import (
@@ -62,24 +65,34 @@ def test_check_lemma1_trivial_cases():
     assert violation == 0.0
 
 
-def test_flatten_can_expand_the_distance():
+@pytest.mark.parametrize("dist,nus,m1,m2,lhs,rhs,raw", [
+    # lhs truncated at the diameter 1.8
+    ([[0, 1, 1.8], [1, 0, 1.8], [1.8, 1.8, 0]],
+     [[("a", 0.0), ("b", -0.25)], [("b", 0.0)]],
+     [(0, -2.0), (1, 0.0)], [(0, 0.0), (1, -1.5)], 1.8, 1.5, 2.0),
+    # the smallest found: the path a-b-c, M1 = delta_mu and
+    # M2 = delta_mu (+) delta_nu; merging raises b to 0, so c at -2 loses
+    # its cheap witness.  On {b, c} alone the diameter 1 truncates both
+    # sides to 1: the third point matters only through the diameter.
+    ([[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+     [[("b", 0.0), ("c", -2.0)], [("b", -2.0), ("c", 0.0)]],
+     [(0, 0.0)], [(0, 0.0), (1, 0.0)], 2.0, 1.0, 2.0),
+], ids=["shadowed-weight", "smallest-on-a-path"])
+def test_flatten_can_expand_the_distance(dist, nus, m1, m2, lhs, rhs, raw):
     # Pinned counterexample: non-expansion of flatten fails when merging
     # shadows an intermediate weight that the lifted level may use as a
     # witness.  Verified against brute-force enumeration at both levels.
-    X = tm.FiniteMetricSpace(["a", "b", "c"], [[0, 1, 1.8], [1, 0, 1.8], [1.8, 1.8, 0]])
-    nu0 = tm.make_measure(X, [("a", 0.0), ("b", -0.25)])
-    nu1 = tm.dirac(X, "b")
-    L = lift(X, [nu0, nu1])
-    M1 = tm.make_measure(L, [(0, -2.0), (1, 0.0)])
-    M2 = tm.make_measure(L, [(0, 0.0), (1, -1.5)])
-    lhs, rhs, violation = check_lemma1(M1, M2)
-    assert lhs == 1.8  # truncated at the diameter
-    assert rhs == 1.5
-    assert violation > 0.29
+    X = tm.FiniteMetricSpace(["a", "b", "c"], dist)
+    L = lift(X, [tm.make_measure(X, nu) for nu in nus])
+    M1, M2 = tm.make_measure(L, m1), tm.make_measure(L, m2)
+    got_lhs, got_rhs, violation = check_lemma1(M1, M2)
+    assert got_lhs == lhs
+    assert got_rhs == rhs
+    assert violation == lhs - rhs > 0.29
     # cross-check both levels with the enumeration oracle
     f1, f2 = flatten(M1), flatten(M2)
-    assert tm.bottleneck_distance_bruteforce(f1, f2) == 2.0
-    assert tm.bottleneck_distance_bruteforce(M1, M2) == 1.5
+    assert tm.bottleneck_distance_bruteforce(f1, f2) == raw
+    assert tm.bottleneck_distance_bruteforce(M1, M2) == rhs
 
 
 def test_check_lemma2_worked_example():
@@ -389,3 +402,49 @@ def test_inject_rejects_unknown_defect():
     with pytest.raises(ValueError):
         with defects.inject("no-such-defect"):
             pass
+
+
+@pytest.mark.parametrize("names", [
+    names for r in range(len(defects.DEFECTS) + 1)
+    for names in itertools.combinations(sorted(defects.DEFECTS), r)],
+    ids=lambda names: "+".join(names) or "clean")
+def test_inject_composes_and_restores(names):
+    # the kernels carry no switch; a defect exists only as patched code
+    assert "defects" not in inspect.getsource(transport)
+    original = {name: fn.__code__ for name, fn in vars(transport).items()
+                if inspect.isfunction(fn)}
+
+    def codes():
+        return {name: vars(transport)[name].__code__ for name in original}
+
+    for fail in (False, True):
+        with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
+            with contextlib.ExitStack() as stack:
+                for name in names:
+                    stack.enter_context(defects.inject(name))
+                assert defects.active() == frozenset(names)
+                changed = {n for n, c in codes().items() if c is not original[n]}
+                assert bool(changed) == bool(names)
+                if fail:
+                    raise RuntimeError
+        assert not defects.active()
+        assert all(c is original[n] for n, c in codes().items())
+
+
+def test_inject_rejects_a_patch_that_does_not_match(monkeypatch):
+    fn = transport.measure_distance
+    code = fn.__code__
+    monkeypatch.setitem(defects._PATCHES, "skip-truncation", ((fn, "no such text", ""),))
+    with pytest.raises(ValueError, match="matches 0 times in measure_distance"):
+        with defects.inject("skip-truncation"):
+            pass
+    assert fn.__code__ is code
+    assert not defects.active()
+
+
+@pytest.mark.parametrize("runner", [
+    run_oracle_equivalence, run_axioms, run_lemma1, run_lemma2, run_lemma3])
+def test_campaigns_reject_a_one_point_space(runner):
+    # on one point every case would compare the one Dirac with itself
+    with pytest.raises(ValueError, match="space_size must be at least 2, got 1"):
+        runner(cases=5, space_size=1)
