@@ -25,7 +25,7 @@ from .measures import (
     pushforward,
 )
 from .monad import flatten
-from .spaces import FiniteMetricSpace, index_of_measure, lift, validate
+from .spaces import FiniteMetricSpace, _build, index_of_measure, validate
 from .transport import bottleneck_distance, bottleneck_distance_bruteforce
 from .verify import (
     MIN_SPACE_SIZE,
@@ -148,8 +148,10 @@ def parse_document(text: str) -> Document:
 
     All measures are constructed (and therefore normalization-checked) and
     lifted spaces are built level by level, so measures of measures of any
-    depth share one lifted space per level.  An atom string resolves to a
-    point label first and to a named measure otherwise.
+    depth share one lifted space per level.  A lifted space computes its
+    distances on their first read, so only a command that measures at the
+    level above pays for them.  An atom string resolves to a point label
+    first and to a named measure otherwise.
     """
     try:
         raw = json.loads(text)
@@ -217,7 +219,8 @@ def parse_document(text: str) -> Document:
 
     # Build every term of one level (named and anonymous alike) before
     # lifting the ground for the next, so each lifted space sees all its
-    # member measures at once.
+    # member measures at once.  The builder dedupes and indexes the
+    # members now and leaves the distances to their first read.
     built: dict[int, IdempotentMeasure] = {}
     ground_for: dict[int, FiniteMetricSpace] = {0: space}
     max_level = max(levels.values(), default=0)
@@ -241,7 +244,7 @@ def parse_document(text: str) -> Document:
                 raise DocumentError(f"invalid measure {name!r}: {e}") from None
         if lv < max_level:
             members = [built[key] for key, l in levels.items() if l == lv]
-            ground_for[lv] = lift(ground_for[lv - 1], members)
+            ground_for[lv] = _build(lv, ground.truncation_diam, None, members)
 
     measures = {name: built[id(term)] for name, term in raw_measures.items()}
     return Document(space, measures)

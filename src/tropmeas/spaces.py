@@ -19,6 +19,11 @@ builder: it skips measures that are already points and computes the
 metric only for pairs with a new point, all in one call of
 :func:`tropmeas.transport.measure_distances`, whose batched kernel gives
 each distance bit for bit as :func:`~tropmeas.transport.measure_distance`.
+The builder defers that call to the first read of the space's ``dist``;
+``lift`` and ``lift_extend`` make that read before they return, so their
+spaces come with every distance computed.  The CLI's document parser
+calls the builder directly, so a command computes a lifted level's
+distances only when it measures at the level above.
 Each lifted space indexes its points by their ``atoms``; the builder's
 dedupe and :func:`index_of_measure` look measures up there.
 """
@@ -63,11 +68,14 @@ class FiniteMetricSpace:
     an unchecked space for later inspection with :func:`validate`.
     Lifted spaces (``level >= 1``) carry their points explicitly as
     measures and are validated lazily because their distances are
-    computed, not user input.
+    computed, not user input.  A lifted space from the builder behind
+    :func:`lift` computes its distance matrix on the first read of
+    ``dist``, once; a fill that raises is not kept, and the next read
+    starts again.  Either way ``dist`` is read-only.
     """
 
     __slots__ = ("labels", "dist", "truncation_diam", "level", "points", "_rows", "_index",
-                 "_by_atoms")
+                 "_by_atoms", "_fill")
 
     def __init__(self, labels, dist, *, truncation_diam=None, level=0,
                  points=None, check=True):
@@ -82,7 +90,6 @@ class FiniteMetricSpace:
             raise InvalidSpaceError(
                 f"distance matrix must be {n}x{n}, got shape {d.shape}"
             )
-        d.setflags(write=False)
 
         if level == 0:
             if points is not None:
@@ -100,23 +107,50 @@ class FiniteMetricSpace:
                 raise InvalidSpaceError("a lifted space needs an explicit truncation diameter")
             truncation_diam = float(truncation_diam)
 
+        self._set_points(labels, truncation_diam, level, points)
+        self._set_dist(d)
+        if check:
+            v = validate(self)
+            if v is not None:
+                raise InvalidSpaceError(v.message)
+
+    @classmethod
+    def _lifted(cls, level, truncation_diam, points, fill):
+        """An unchecked lifted space labeled mu0, mu1, ... whose distance
+        matrix ``fill()`` returns on the first read of ``dist`` or ``_rows``."""
+        space = cls.__new__(cls)
+        space._set_points(tuple(f"mu{i}" for i in range(len(points))),
+                          float(truncation_diam), level, tuple(points))
+        space._fill = fill
+        return space
+
+    def _set_points(self, labels, truncation_diam, level, points):
         self.labels = labels
-        self.dist = d
         self.truncation_diam = truncation_diam
         self.level = int(level)
         self.points = points
-        # Plain-float rows for hot scalar lookups.
-        self._rows = d.tolist()
         self._index = {lab: i for i, lab in enumerate(labels)}
         # lifted spaces: the indices of the points on each support, in order
         self._by_atoms = None if points is None else {}
         for i, p in enumerate(points or ()):
             self._by_atoms.setdefault(p.atoms, []).append(i)
 
-        if check:
-            v = validate(self)
-            if v is not None:
-                raise InvalidSpaceError(v.message)
+    def _set_dist(self, d):
+        d.setflags(write=False)
+        # Plain-float rows for hot scalar lookups.
+        self._rows = d.tolist()
+        self.dist = d
+
+    def __getattr__(self, name):
+        # Called only for an unset slot, so a space whose matrix is set
+        # pays nothing per read.  A space from _lifted leaves ``dist`` and
+        # ``_rows`` unset until one of them is read; a fill that raises
+        # sets neither, and the next read computes the whole matrix again.
+        if name not in ("dist", "_rows"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._set_dist(self._fill())
+        del self._fill
+        return getattr(self, name)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -206,13 +240,13 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
 def _build(level: int, diam: float, base, measures):
     """The lifted space over the points of ``base`` (or none) and ``measures``.
 
-    The distance block of ``base`` is copied; only pairs with a new
-    measure are computed, in one batch.  Measures already present (equal
-    supports, weights within 1e-9) are found through the atom-keyed index
-    and skipped.  Returns None when nothing is new.
+    Measures already present (equal supports, weights within 1e-9) are
+    found through the atom-keyed index and skipped.  Returns None when
+    nothing is new.  The distance matrix is left to the first read of
+    ``dist``: it copies the block of ``base`` and computes only the pairs
+    with a new measure, in one batch.
     """
     from .measures import measures_close
-    from .transport import measure_distances
 
     pts = [] if base is None else list(base.points)
     old = len(pts)
@@ -225,30 +259,30 @@ def _build(level: int, diam: float, base, measures):
     n = len(pts)
     if n == old:
         return None
-    dmat = np.zeros((n, n))
-    if old:
-        dmat[:old, :old] = base.dist
-    # every pair (i, j) with i < j and j new, column by column: column j
-    # holds rows 0..j-1 and starts after the j(j-1)/2 - old(old-1)/2 before it
-    cols = np.repeat(np.arange(old, n), np.arange(old, n))
-    rows = np.arange(len(cols)) - (cols * (cols - 1) - old * (old - 1)) // 2
-    dmat[rows, cols] = dmat[cols, rows] = measure_distances(pts, rows, cols)
-    return FiniteMetricSpace(
-        tuple(f"mu{i}" for i in range(n)),
-        dmat,
-        truncation_diam=diam,
-        level=level,
-        points=tuple(pts),
-        check=False,
-    )
+
+    def fill():
+        from .transport import measure_distances
+
+        dmat = np.zeros((n, n))
+        if old:
+            dmat[:old, :old] = base.dist
+        # every pair (i, j) with i < j and j new, column by column: column j
+        # holds rows 0..j-1 and starts after the j(j-1)/2 - old(old-1)/2 before it
+        cols = np.repeat(np.arange(old, n), np.arange(old, n))
+        rows = np.arange(len(cols)) - (cols * (cols - 1) - old * (old - 1)) // 2
+        dmat[rows, cols] = dmat[cols, rows] = measure_distances(pts, rows, cols)
+        return dmat
+
+    return FiniteMetricSpace._lifted(level, diam, pts, fill)
 
 
 def lift(ground: FiniteMetricSpace, measures) -> FiniteMetricSpace:
     """Build the space of measures over ``ground`` spanned by ``measures``.
 
-    Pairwise distances are the truncated transport metric; duplicate
-    measures (equal supports, weights within 1e-9) merge to one point; the
-    truncation diameter is inherited from the ground space.
+    Pairwise distances are the truncated transport metric, all computed
+    before this returns; duplicate measures (equal supports, weights
+    within 1e-9) merge to one point; the truncation diameter is inherited
+    from the ground space.
     """
     from .measures import SpaceMismatchError
 
@@ -258,20 +292,26 @@ def lift(ground: FiniteMetricSpace, measures) -> FiniteMetricSpace:
     for m in measures:
         if m.ground is not ground:
             raise SpaceMismatchError("all lifted measures must share the ground space")
-    return _build(ground.level + 1, ground.truncation_diam, None, measures)
+    lifted = _build(ground.level + 1, ground.truncation_diam, None, measures)
+    lifted.dist  # the first read computes the matrix, here inside the call
+    return lifted
 
 
 def lift_extend(lifted: FiniteMetricSpace, extra_measures) -> FiniteMetricSpace:
     """Extend a lifted space with further measures, reusing known distances.
 
     Equivalent to re-lifting the union, but the distance block between
-    existing points is copied instead of recomputed.  Returns ``lifted``
-    itself when every extra measure is already a point.
+    existing points is copied instead of recomputed; the new distances
+    are computed before this returns.  Returns ``lifted`` itself when
+    every extra measure is already a point.
     """
     if lifted.level < 1:
         raise InvalidSpaceError("lift_extend needs a lifted space")
     extended = _build(lifted.level, lifted.truncation_diam, lifted, extra_measures)
-    return lifted if extended is None else extended
+    if extended is None:
+        return lifted
+    extended.dist  # the first read computes the matrix, here inside the call
+    return extended
 
 
 def index_of_measure(lifted: FiniteMetricSpace, mu, tol: float = 1e-9) -> int:

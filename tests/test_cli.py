@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+import tropmeas as tm
+from tropmeas import transport
 from tropmeas.cli import (
     DocumentError,
     document_to_text,
@@ -9,6 +12,7 @@ from tropmeas.cli import (
     measure_to_term,
     parse_document,
 )
+from tropmeas.spaces import lift
 
 WORKED = {
     "space": {"points": ["a", "b"], "dist": [[0, 2], [2, 0]]},
@@ -127,22 +131,144 @@ def test_parse_nested_anonymous_terms():
     assert M.support_size == 2
 
 
+LEVEL3 = {
+    "space": {"points": ["a", "b"], "dist": [[0, 2], [2, 0]]},
+    "measures": {
+        "m1": {"support": [{"atom": "a", "weight": 0}]},
+        "m2": {"support": [{"atom": "a", "weight": 0}, {"atom": "b", "weight": -1}]},
+        "M": {"support": [{"atom": "m1", "weight": 0}, {"atom": "m2", "weight": -2}]},
+        "MM": {"support": [{"atom": "M", "weight": 0}]},
+    },
+}
+
+
 def test_parse_level3_document():
-    doc = {
-        "space": {"points": ["a", "b"], "dist": [[0, 2], [2, 0]]},
-        "measures": {
-            "m1": {"support": [{"atom": "a", "weight": 0}]},
-            "m2": {"support": [{"atom": "a", "weight": 0}, {"atom": "b", "weight": -1}]},
-            "M": {"support": [{"atom": "m1", "weight": 0}, {"atom": "m2", "weight": -2}]},
-            "MM": {"support": [{"atom": "M", "weight": 0}]},
-        },
-    }
-    parsed = parse_document(json.dumps(doc))
+    parsed = parse_document(json.dumps(LEVEL3))
     MM = parsed.measures["MM"]
     assert MM.ground.level == 2
     from tropmeas.monad import flatten
 
     assert flatten(flatten(MM)) == flatten(parsed.measures["M"])
+
+
+# two measures at every level, so that dist measures each lifted level
+LEVEL3_PAIRS = json.loads(json.dumps(LEVEL3))
+LEVEL3_PAIRS["measures"].update({
+    "N": {"support": [{"atom": "m2", "weight": 0}]},
+    "NN": {"support": [{"atom": "M", "weight": -1}, {"atom": "N", "weight": 0}]},
+})
+
+
+def test_commands_compute_only_the_levels_they_measure(tmp_path, kernel_calls):
+    path = tmp_path / "level3.json"
+    path.write_text(json.dumps(LEVEL3_PAIRS))
+    file = str(path)
+    doc = parse_document(path.read_text())
+    assert kernel_calls == []
+    for argv in (["flatten", file, "MM"], ["flatten", file, "NN"], ["flatten", file, "M"],
+                 ["eval", file, "m2", "--phi", "a=1,b=5"],
+                 ["push", file, "m2", "--map", "a=b,b=b"],
+                 ["dist", file, "m1", "m2"]):
+        assert main(argv) == 0
+    assert kernel_calls == []
+    assert main(["dist", file, "M", "N"]) == 0
+    assert kernel_calls == [1]
+    assert main(["dist", file, "MM", "NN"]) == 0
+    assert kernel_calls == [1, 1, 1]
+
+    del kernel_calls[:]
+    level2 = doc.measures["NN"].ground
+    first = level2.dist
+    assert len(kernel_calls) == 2
+    assert level2.dist is first and level2._rows == first.tolist()
+    assert doc.measures["M"].ground.dist is level2.points[0].ground.dist
+    assert len(kernel_calls) == 2
+
+
+def _random_level3_document(rng):
+    """A level-3 document whose terms include exact and near copies (nonzero
+    weights moved by less than 1e-9), so the builder merges points at every
+    level."""
+    space = tm.gen_space(int(rng.integers(3, 7)), rng)
+    measures = {}
+    pool = list(space.labels)
+    for prefix in "abc":
+        names = [f"{prefix}{i}" for i in range(int(rng.integers(3, 7)))]
+        for name in names:
+            size = int(rng.integers(1, min(3, len(pool)) + 1))
+            atoms = [pool[int(i)] for i in rng.choice(len(pool), size, replace=False)]
+            weights = [0.0] + [-float(rng.uniform(0, space.truncation_diam))
+                               for _ in range(size - 1)]
+            measures[name] = {"support": [{"atom": a, "weight": w}
+                                          for a, w in zip(atoms, weights)]}
+        copies = [names[int(i)] for i in rng.choice(len(names), 2, replace=False)]
+        measures[f"{prefix}_same"] = json.loads(json.dumps(measures[copies[0]]))
+        measures[f"{prefix}_near"] = {"support": [
+            {"atom": e["atom"],
+             "weight": e["weight"] and e["weight"] - float(rng.uniform(1e-12, 5e-10))}
+            for e in measures[copies[1]]["support"]]}
+        pool = names
+    return {"space": {"points": list(space.labels), "dist": space.dist.tolist()},
+            "measures": measures}
+
+
+def _lifted_grounds(doc):
+    grounds = {}
+    for mu in doc.measures.values():
+        space = mu.ground
+        while space.level >= 1:
+            grounds[id(space)] = space
+            space = space.points[0].ground
+    return sorted(grounds.values(), key=lambda g: -g.level)
+
+
+def test_deferred_distances_match_an_eager_lift():
+    rng = np.random.default_rng(2010)
+    documents = [WORKED, LEVEL3, LEVEL3_PAIRS] + [_random_level3_document(rng)
+                                                 for _ in range(20)]
+    merged = 0
+    for raw in documents:
+        doc = parse_document(json.dumps(raw))
+        for ground in _lifted_grounds(doc):
+            inner = ground.points[0].ground
+            members = {id(m) for m in doc.measures.values() if m.ground is inner}
+            merged += len(members) - len(ground)
+            deferred = ground.dist
+            assert not deferred.flags.writeable
+            eager = lift(inner, ground.points)
+            assert eager.points == ground.points
+            assert deferred.tobytes() == eager.dist.tobytes()
+            assert ground._rows == eager._rows
+    assert merged > 0
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_a_failed_fill_is_not_kept(error, failing_call, monkeypatch):
+    # the level-2 fill runs the level-1 fill inside its own kernel call, so
+    # call 1 fails the level-2 fill and call 2 fails both
+    real = transport.measure_distances
+    calls = []
+
+    def flaky(measures, rows, cols):
+        calls.append(len(rows))
+        if len(calls) == failing_call:
+            raise error
+        return real(measures, rows, cols)
+
+    level2 = parse_document(json.dumps(LEVEL3_PAIRS)).measures["NN"].ground
+    level1 = level2.points[0].ground
+    monkeypatch.setattr(transport, "measure_distances", flaky)
+    with pytest.raises(error):
+        level2.dist
+    assert len(calls) == failing_call
+    again = level2.dist
+    assert len(calls) == 4 - (failing_call == 1)
+    monkeypatch.undo()
+    for ground, d in ((level2, again), (level1, level1.dist)):
+        eager = lift(ground.points[0].ground, ground.points)
+        assert d.tobytes() == eager.dist.tobytes() and d.any()
+        assert ground._rows == eager._rows
 
 
 def test_roundtrip_is_structural():

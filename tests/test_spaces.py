@@ -240,6 +240,25 @@ def test_lift_extend_matches_full_lift(worked):
     assert near_merged > 0
 
 
+def test_lift_and_lift_extend_compute_every_distance_before_returning(kernel_calls):
+    rng = np.random.default_rng(17)
+    X = tm.gen_space(5, rng)
+    A = [tm.gen_measure(X, 3, rng) for _ in range(4)]
+    B = [tm.gen_measure(X, 3, rng) for _ in range(3)] + [A[0]]
+    L = lift(X, A)
+    pairs = lambda n: n * (n - 1) // 2
+    assert kernel_calls == [pairs(len(L))]
+    ext = lift_extend(L, B)
+    assert len(L) < len(ext) < len(L) + len(B)
+    assert kernel_calls == [pairs(len(L)), pairs(len(ext)) - pairs(len(L))]
+    assert lift_extend(ext, A) is ext
+    made = list(kernel_calls)
+    for space in (L, ext):
+        assert not space.dist.flags.writeable
+        assert space._rows == space.dist.tolist()
+    assert kernel_calls == made
+
+
 def _near_copy(mu, rng):
     """``mu`` with each nonzero weight lowered by less than 1e-9."""
     return tm.make_measure(mu.ground, [
