@@ -171,13 +171,13 @@ def parse_document(text: str) -> Document:
             raise DocumentError(f"measure name {name!r} must be a string")
 
     labels = set(space.labels)
-    levels: dict[int, int] = {}
-    terms_by_id: dict[int, tuple] = {}
+    # id of a term -> (level, support, name), in the order levels are known
+    terms: dict[int, tuple] = {}
 
     def term_level(term, name: str, visiting: tuple) -> int:
         key = id(term)
-        if key in levels:
-            return levels[key]
+        if key in terms:
+            return terms[key][0]
         support = _term_support(term, name)
         atom_levels = set()
         for atom, _ in support:
@@ -207,9 +207,9 @@ def parse_document(text: str) -> Document:
             raise DocumentError(
                 f"measure {name!r} mixes atoms of different levels"
             )
-        levels[key] = atom_levels.pop() + 1
-        terms_by_id[key] = (support, name)
-        return levels[key]
+        level = atom_levels.pop() + 1
+        terms[key] = (level, support, name)
+        return level
 
     try:
         for name, term in raw_measures.items():
@@ -222,12 +222,12 @@ def parse_document(text: str) -> Document:
     # member measures at once.  The builder dedupes and indexes the
     # members now and leaves the distances to their first read.
     built: dict[int, IdempotentMeasure] = {}
-    ground_for: dict[int, FiniteMetricSpace] = {0: space}
-    max_level = max(levels.values(), default=0)
+    ground = space
+    max_level = max((level for level, _, _ in terms.values()), default=0)
     for lv in range(1, max_level + 1):
-        ground = ground_for[lv - 1]
-        for key, (support, name) in terms_by_id.items():
-            if levels[key] != lv:
+        members = []
+        for key, (level, support, name) in terms.items():
+            if level != lv:
                 continue
             entries = []
             for atom, w in support:
@@ -242,9 +242,9 @@ def parse_document(text: str) -> Document:
                 built[key] = make_measure(ground, entries)
             except ValueError as e:
                 raise DocumentError(f"invalid measure {name!r}: {e}") from None
+            members.append(built[key])
         if lv < max_level:
-            members = [built[key] for key, l in levels.items() if l == lv]
-            ground_for[lv] = _build(lv, ground.truncation_diam, None, members)
+            ground = _build(lv, ground.truncation_diam, None, members)
 
     measures = {name: built[id(term)] for name, term in raw_measures.items()}
     return Document(space, measures)

@@ -72,7 +72,7 @@ def flatten(M: IdempotentMeasure) -> IdempotentMeasure:
     0 + 0, and no combination exceeds 0.
     """
     lifted = M.ground
-    if lifted.level < 1 or lifted.points is None:
+    if lifted.level < 1:
         raise SpaceMismatchError("flatten needs a measure over a space of measures")
     inner_ground = lifted.points[0].ground
     for pt in lifted.points[1:]:

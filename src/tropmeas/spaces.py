@@ -1,10 +1,13 @@
 """Finite metric spaces, their validation, and lifting to spaces of measures.
 
 A level-0 space is plain user data: distinct point labels plus a distance
-matrix that must pass the metric axioms.  A level-k space for k >= 1 is a
+matrix that must pass the metric axioms; the :class:`FiniteMetricSpace`
+constructor builds these and no other.  A level-k space for k >= 1 is a
 "lifted" space whose points are finite-support idempotent measures over
 the level k-1 space and whose pairwise distances are the truncated
-bottleneck transport metric of :mod:`tropmeas.transport`.
+bottleneck transport metric of :mod:`tropmeas.transport`.  Its metric is
+fixed by its ground, so it is never user input: lifted spaces come only
+from :func:`lift`, :func:`lift_extend` and the CLI's document parser.
 
 Every space stores an explicit truncation diameter used by the metric's
 ``min(diam, .)`` truncation.  For level-0 spaces it equals the maximum
@@ -25,12 +28,17 @@ spaces come with every distance computed.  The CLI's document parser
 calls the builder directly, so a command computes a lifted level's
 distances only when it measures at the level above.
 Each lifted space indexes its points by their ``atoms``; the builder's
-dedupe and :func:`index_of_measure` look measures up there.
+dedupe and :func:`index_of_measure` share one lookup there: the first
+point with the same atoms and weights within 1e-9.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# measures imports this module, so this binds it half loaded; its names
+# are read at call time
+from . import measures as _measures
 
 __all__ = [
     "FiniteMetricSpace",
@@ -62,23 +70,23 @@ class MetricViolation:
 class FiniteMetricSpace:
     """A finite labeled point set with a distance matrix.
 
-    Instances are immutable after construction.  ``check=True`` (the
-    default) validates the metric axioms and raises
+    Instances are immutable after construction.  The constructor builds a
+    level-0 space, whose truncation diameter is its largest distance.
+    ``check=True`` (the default) validates the metric axioms and raises
     :class:`InvalidSpaceError` on failure; pass ``check=False`` to build
     an unchecked space for later inspection with :func:`validate`.
-    Lifted spaces (``level >= 1``) carry their points explicitly as
-    measures and are validated lazily because their distances are
-    computed, not user input.  A lifted space from the builder behind
-    :func:`lift` computes its distance matrix on the first read of
-    ``dist``, once; a fill that raises is not kept, and the next read
-    starts again.  Either way ``dist`` is read-only.
+    Lifted spaces (``level >= 1``) come from :func:`lift`,
+    :func:`lift_extend` and the CLI's document parser.  They carry their
+    points as measures, are not validated because their distances are
+    computed, not user input, and compute their distance matrix on the
+    first read of ``dist``, once; a fill that raises is not kept, and the
+    next read starts again.  Either way ``dist`` is read-only.
     """
 
     __slots__ = ("labels", "dist", "truncation_diam", "level", "points", "_rows", "_index",
                  "_by_atoms", "_fill")
 
-    def __init__(self, labels, dist, *, truncation_diam=None, level=0,
-                 points=None, check=True):
+    def __init__(self, labels, dist, *, check=True):
         labels = tuple(labels)
         n = len(labels)
         if n == 0:
@@ -90,24 +98,7 @@ class FiniteMetricSpace:
             raise InvalidSpaceError(
                 f"distance matrix must be {n}x{n}, got shape {d.shape}"
             )
-
-        if level == 0:
-            if points is not None:
-                raise InvalidSpaceError("level-0 spaces have plain points, not measures")
-            if truncation_diam is not None:
-                raise InvalidSpaceError(
-                    "the truncation diameter of a level-0 space is computed, not supplied"
-                )
-            truncation_diam = float(d.max())
-        else:
-            if points is None or len(points) != n:
-                raise InvalidSpaceError("a lifted space needs one measure per label")
-            points = tuple(points)
-            if truncation_diam is None:
-                raise InvalidSpaceError("a lifted space needs an explicit truncation diameter")
-            truncation_diam = float(truncation_diam)
-
-        self._set_points(labels, truncation_diam, level, points)
+        self._set_points(labels, float(d.max()), 0, None, None)
         self._set_dist(d)
         if check:
             v = validate(self)
@@ -115,25 +106,24 @@ class FiniteMetricSpace:
                 raise InvalidSpaceError(v.message)
 
     @classmethod
-    def _lifted(cls, level, truncation_diam, points, fill):
-        """An unchecked lifted space labeled mu0, mu1, ... whose distance
-        matrix ``fill()`` returns on the first read of ``dist`` or ``_rows``."""
+    def _lifted(cls, level, truncation_diam, points, by_atoms, fill):
+        """An unchecked lifted space labeled mu0, mu1, ... over ``points``,
+        with the atom index ``by_atoms``, whose distance matrix ``fill()``
+        returns on the first read of ``dist`` or ``_rows``."""
         space = cls.__new__(cls)
         space._set_points(tuple(f"mu{i}" for i in range(len(points))),
-                          float(truncation_diam), level, tuple(points))
+                          float(truncation_diam), level, tuple(points), by_atoms)
         space._fill = fill
         return space
 
-    def _set_points(self, labels, truncation_diam, level, points):
+    def _set_points(self, labels, truncation_diam, level, points, by_atoms):
         self.labels = labels
         self.truncation_diam = truncation_diam
         self.level = int(level)
         self.points = points
         self._index = {lab: i for i, lab in enumerate(labels)}
         # lifted spaces: the indices of the points on each support, in order
-        self._by_atoms = None if points is None else {}
-        for i, p in enumerate(points or ()):
-            self._by_atoms.setdefault(p.atoms, []).append(i)
+        self._by_atoms = by_atoms
 
     def _set_dist(self, d):
         d.setflags(write=False)
@@ -237,24 +227,31 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
     return None
 
 
+def _first_close(points, by_atoms, mu):
+    """The first point of ``points`` equal to ``mu``, or None: same
+    ``atoms`` and weights within 1e-9, scanned in index order among the
+    indices ``by_atoms`` lists for ``mu``'s atoms.  A point with other
+    atoms is never equal, so no other point is compared."""
+    for i in by_atoms.get(mu.atoms, ()):
+        if _measures.measures_close(mu, points[i], 1e-9):
+            return i
+    return None
+
+
 def _build(level: int, diam: float, base, measures):
     """The lifted space over the points of ``base`` (or none) and ``measures``.
 
-    Measures already present (equal supports, weights within 1e-9) are
-    found through the atom-keyed index and skipped.  Returns None when
-    nothing is new.  The distance matrix is left to the first read of
-    ``dist``: it copies the block of ``base`` and computes only the pairs
-    with a new measure, in one batch.
+    Measures already present (see :func:`_first_close`) are skipped.
+    Returns None when nothing is new.  The distance matrix is left to the
+    first read of ``dist``: it copies the block of ``base`` and computes
+    only the pairs with a new measure, in one batch.
     """
-    from .measures import measures_close
-
     pts = [] if base is None else list(base.points)
     old = len(pts)
     by_atoms = {} if base is None else {a: list(ix) for a, ix in base._by_atoms.items()}
     for m in measures:
-        same = by_atoms.setdefault(m.atoms, [])
-        if not any(measures_close(m, pts[i], 1e-9) for i in same):
-            same.append(len(pts))
+        if _first_close(pts, by_atoms, m) is None:
+            by_atoms.setdefault(m.atoms, []).append(len(pts))
             pts.append(m)
     n = len(pts)
     if n == old:
@@ -273,7 +270,7 @@ def _build(level: int, diam: float, base, measures):
         dmat[rows, cols] = dmat[cols, rows] = measure_distances(pts, rows, cols)
         return dmat
 
-    return FiniteMetricSpace._lifted(level, diam, pts, fill)
+    return FiniteMetricSpace._lifted(level, diam, pts, by_atoms, fill)
 
 
 def lift(ground: FiniteMetricSpace, measures) -> FiniteMetricSpace:
@@ -284,14 +281,12 @@ def lift(ground: FiniteMetricSpace, measures) -> FiniteMetricSpace:
     within 1e-9) merge to one point; the truncation diameter is inherited
     from the ground space.
     """
-    from .measures import SpaceMismatchError
-
     measures = list(measures)
     if not measures:
         raise InvalidSpaceError("lift needs at least one measure")
     for m in measures:
         if m.ground is not ground:
-            raise SpaceMismatchError("all lifted measures must share the ground space")
+            raise _measures.SpaceMismatchError("all lifted measures must share the ground space")
     lifted = _build(ground.level + 1, ground.truncation_diam, None, measures)
     lifted.dist  # the first read computes the matrix, here inside the call
     return lifted
@@ -314,17 +309,13 @@ def lift_extend(lifted: FiniteMetricSpace, extra_measures) -> FiniteMetricSpace:
     return extended
 
 
-def index_of_measure(lifted: FiniteMetricSpace, mu, tol: float = 1e-9) -> int:
-    """Locate the first point of a lifted space equal to ``mu`` (within ``tol``).
-
-    Only the points with ``mu``'s atoms are scanned, in index order: a
-    point with other atoms is never within any ``tol`` of ``mu``.
-    """
+def index_of_measure(lifted: FiniteMetricSpace, mu) -> int:
+    """Locate the first point of a lifted space equal to ``mu``, by the
+    builder's own rule (:func:`_first_close`): same atoms, weights within
+    1e-9, first in index order."""
     if lifted.level < 1:
         raise InvalidSpaceError("only lifted spaces have measures as points")
-    from .measures import measures_close
-
-    for i in lifted._by_atoms.get(mu.atoms, ()):
-        if measures_close(mu, lifted.points[i], tol):
-            return i
-    raise ValueError("measure is not a point of this lifted space")
+    i = _first_close(lifted.points, lifted._by_atoms, mu)
+    if i is None:
+        raise ValueError("measure is not a point of this lifted space")
+    return i

@@ -239,6 +239,9 @@ def test_deferred_distances_match_an_eager_lift():
             assert eager.points == ground.points
             assert deferred.tobytes() == eager.dist.tobytes()
             assert ground._rows == eager._rows
+            assert ground._by_atoms == {
+                a: [i for i, p in enumerate(ground.points) if p.atoms == a]
+                for a in {p.atoms for p in ground.points}}
     assert merged > 0
 
 

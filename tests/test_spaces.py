@@ -57,8 +57,9 @@ def test_negative_distance_reported():
 
 def test_violation_messages_print_plain_floats():
     sp = FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]])
-    lifted = FiniteMetricSpace(["p", "q"], [[0, 1], [1, 0]], truncation_diam=0.5, level=1,
-                               points=[tm.dirac(sp, "a"), tm.dirac(sp, "b")], check=False)
+    # without the truncation the lifted distance exceeds the diameter 1
+    with tm.defects.inject("skip-truncation"):
+        lifted = lift(sp, [tm.dirac(sp, "a"), tm.make_measure(sp, [("a", -5.0), ("b", 0.0)])])
     cases = {
         "nonnegativity": [[0, np.nan], [np.nan, 0]],
         "symmetry": [[0, 1], [2, 0]],
@@ -123,11 +124,6 @@ def test_constructor_rejects_invalid_level0():
         FiniteMetricSpace(["a"], [[0, 1]])
     with pytest.raises(InvalidSpaceError):
         FiniteMetricSpace([], [])
-
-
-def test_level0_diameter_is_computed_not_supplied():
-    with pytest.raises(InvalidSpaceError):
-        FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]], truncation_diam=5.0)
 
 
 def test_unknown_label():
@@ -236,6 +232,9 @@ def test_lift_extend_matches_full_lift(worked):
         assert all(p is q for p, q in zip(ext.points, full.points))
         assert ext.dist.tobytes() == full.dist.tobytes()
         assert lift_extend(L, A) is L
+        for S in (L, ext):
+            assert S._by_atoms == {a: [i for i, p in enumerate(S.points) if p.atoms == a]
+                                   for a in {p.atoms for p in S.points}}
         near_merged += sum(m not in full.points for m in A + B)
     assert near_merged > 0
 
@@ -279,39 +278,41 @@ def test_index_of_measure(worked):
 def test_index_of_measure_first_within_tol():
     sp = FiniteMetricSpace(["a", "b"], [[0, 2], [2, 0]])
     p = tm.make_measure(sp, [("a", 0.0), ("b", -1.0)])
-    q = tm.make_measure(sp, [("a", 0.0), ("b", -1.0 - 1e-10)])
+    q = tm.make_measure(sp, [("a", 0.0), ("b", -1.0 - 1.5e-9)])
+    mid = tm.make_measure(sp, [("a", 0.0), ("b", -1.0 - 0.75e-9)])
     r = tm.dirac(sp, "a")
-    L = FiniteMetricSpace(["r", "p", "q"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-                          truncation_diam=2.0, level=1, points=[r, p, q])
-    assert index_of_measure(L, q) == 1
-    assert index_of_measure(L, q, tol=0.0) == 2
-    assert index_of_measure(L, r) == 0
+    # 1.5e-9 apart, p and q stay two points; mid is within 1e-9 of both
+    L = lift(sp, [r, p, q])
+    assert len(L) == 3
+    assert [index_of_measure(L, m) for m in (r, p, q, mid)] == [0, 1, 2, 1]
+    assert index_of_measure(lift(sp, [q, p]), mid) == 0
     other = FiniteMetricSpace(["a", "b"], [[0, 2], [2, 0]])
     with pytest.raises(ValueError):
         index_of_measure(L, tm.make_measure(other, [("a", 0.0), ("b", -1.0)]))
     with pytest.raises(InvalidSpaceError):
         index_of_measure(sp, p)
 
-    def linear_scan(lifted, mu, tol):
-        return [i for i, pt in enumerate(lifted.points) if tm.measures_close(mu, pt, tol)]
-
     rng = np.random.default_rng(29)
     ties = 0
     for _ in range(200):
         ground = tm.gen_space(int(rng.integers(2, 5)), rng)
         mus = [tm.gen_measure(ground, 3, rng, weight_span=1.0) for _ in range(8)]
-        # near copies share atoms with a point and sit within some tol of it
-        mus += [tm.make_measure(ground, [(a, w - float(rng.uniform(0, 0.1)) if w else w)
-                                         for a, w in mu.entries()]) for mu in mus[:4]]
+        # near copies lower each nonzero weight by 1e-9 to 2e-9, so they stay
+        # points of their own; halfway queries are within 1e-9 of both
+        gaps = [{a: float(rng.uniform(1e-9, 2e-9)) for a in mu.atoms} for mu in mus[:4]]
+        shifted = lambda mu, gap, f: tm.make_measure(
+            ground, [(a, w - f * gap[a] if w else w) for a, w in mu.entries()])
+        mus += [shifted(mu, gap, 1.0) for mu, gap in zip(mus, gaps)]
         lifted = lift(ground, mus)
-        queries = mus + [tm.gen_measure(ground, 3, rng, weight_span=1.0) for _ in range(4)]
+        queries = mus + [shifted(mu, gap, 0.5) for mu, gap in zip(mus, gaps)]
+        queries += [tm.gen_measure(ground, 3, rng, weight_span=1.0) for _ in range(4)]
         for mu in queries:
-            for tol in (0.0, 1e-9, 0.05, 1.0):
-                close = linear_scan(lifted, mu, tol)
-                ties += len(close) > 1
-                if not close:
-                    with pytest.raises(ValueError):
-                        index_of_measure(lifted, mu, tol)
-                else:
-                    assert index_of_measure(lifted, mu, tol) == close[0]
+            close = [i for i, pt in enumerate(lifted.points)
+                     if tm.measures_close(mu, pt, 1e-9)]
+            ties += len(close) > 1
+            if not close:
+                with pytest.raises(ValueError):
+                    index_of_measure(lifted, mu)
+            else:
+                assert index_of_measure(lifted, mu) == close[0]
     assert ties

@@ -448,3 +448,21 @@ def test_campaigns_reject_a_one_point_space(runner):
     # on one point every case would compare the one Dirac with itself
     with pytest.raises(ValueError, match="space_size must be at least 2, got 1"):
         runner(cases=5, space_size=1)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"cases": 0}, "cases must be at least 1, got 0"),
+    ({"cases": -5}, "cases must be at least 1, got -5"),
+    ({"tol": float("nan")}, "tol must not be NaN"),
+])
+@pytest.mark.parametrize("runner", [
+    run_oracle_equivalence, run_axioms, run_lemma1, run_lemma2, run_lemma3,
+    lambda **kw: check_axioms(gen_space(4, np.random.default_rng(3)), **kw)],
+    ids=["oracle", "axioms", "lemma1", "lemma2", "lemma3", "check_axioms"])
+def test_campaigns_reject_settings_that_check_nothing(runner, bad, match):
+    # no case, or a NaN tol that no violation exceeds, would pass unchecked;
+    # a negative tol stays legal and fails every case
+    args = {"cases": 3, "seed": 0, "tol": CAMPAIGN_TOL, **bad}
+    with pytest.raises(ValueError, match=match):
+        runner(**args)
+    assert not runner(cases=2, seed=0, tol=-1.0).passed
