@@ -25,7 +25,7 @@ from .measures import (
     pushforward,
 )
 from .monad import flatten
-from .spaces import FiniteMetricSpace, _build, index_of_measure, validate
+from .spaces import FiniteMetricSpace, _build, validate
 from .transport import bottleneck_distance, bottleneck_distance_bruteforce
 from .verify import (
     MIN_SPACE_SIZE,
@@ -219,32 +219,28 @@ def parse_document(text: str) -> Document:
 
     # Build every term of one level (named and anonymous alike) before
     # lifting the ground for the next, so each lifted space sees all its
-    # member measures at once.  The builder dedupes and indexes the
-    # members now and leaves the distances to their first read.
+    # member measures at once.  The builder dedupes the members now, says
+    # which point each became, and leaves the distances to their first read.
     built: dict[int, IdempotentMeasure] = {}
+    point: dict[int, int] = {}  # id of a term -> its point one level up
     ground = space
     max_level = max((level for level, _, _ in terms.values()), default=0)
     for lv in range(1, max_level + 1):
-        members = []
+        keys = []
         for key, (level, support, name) in terms.items():
             if level != lv:
                 continue
-            entries = []
-            for atom, w in support:
-                if lv == 1:
-                    entries.append((atom, w))
-                else:
-                    inner_term = raw_measures[atom] if isinstance(atom, str) else atom
-                    entries.append(
-                        (index_of_measure(ground, built[id(inner_term)]), w)
-                    )
+            if lv > 1:
+                support = [(point[id(raw_measures[a] if isinstance(a, str) else a)], w)
+                           for a, w in support]
             try:
-                built[key] = make_measure(ground, entries)
+                built[key] = make_measure(ground, support)
             except ValueError as e:
                 raise DocumentError(f"invalid measure {name!r}: {e}") from None
-            members.append(built[key])
+            keys.append(key)
         if lv < max_level:
-            ground = _build(lv, ground.truncation_diam, None, members)
+            ground, where = _build(ground, [built[k] for k in keys])
+            point.update(zip(keys, where))
 
     measures = {name: built[id(term)] for name, term in raw_measures.items()}
     return Document(space, measures)

@@ -55,11 +55,11 @@ def lift_function(phi: FunctionOnSpace, lifted: FiniteMetricSpace) -> FunctionOn
     evaluate(mu, phi)."""
     if lifted.level < 1:
         raise SpaceMismatchError("lift_function needs a space of measures")
-    for pt in lifted.points:
-        if pt.ground is not phi.space:
-            raise SpaceMismatchError(
-                "lifted space holds measures over a different space than phi"
-            )
+    # the builder puts every point of a lifted space on one ground
+    if lifted.points[0].ground is not phi.space:
+        raise SpaceMismatchError(
+            "lifted space holds measures over a different space than phi"
+        )
     return FunctionOnSpace(lifted, tuple(evaluate(pt, phi) for pt in lifted.points))
 
 
@@ -74,15 +74,11 @@ def flatten(M: IdempotentMeasure) -> IdempotentMeasure:
     lifted = M.ground
     if lifted.level < 1:
         raise SpaceMismatchError("flatten needs a measure over a space of measures")
-    inner_ground = lifted.points[0].ground
-    for pt in lifted.points[1:]:
-        if pt.ground is not inner_ground:
-            raise SpaceMismatchError("flatten over mixed inner grounds")
     out = []
     for k, mk in M.entries():
         nu = lifted.points[k]
         out.extend((a, mk + w) for a, w in nu.entries())
-    return make_measure(inner_ground, out)
+    return make_measure(lifted.points[0].ground, out)
 
 
 def flatten_via_evaluation(M: IdempotentMeasure, phi: FunctionOnSpace) -> float:
@@ -100,7 +96,8 @@ def unit(mu: IdempotentMeasure,
     here is support-local, so materializing the needed points suffices.
     """
     if lifted is None:
-        lifted = lift(mu.ground, [mu])
+        # a one-point space: mu is point 0
+        return dirac(lift(mu.ground, [mu]), 0)
     return dirac(lifted, index_of_measure(lifted, mu))
 
 
@@ -110,11 +107,11 @@ def map_unit(mu: IdempotentMeasure,
     weights are unchanged."""
     diracs = [dirac(mu.ground, a) for a in mu.atoms]
     if lifted is None:
-        lifted = lift(mu.ground, diracs)
-    entries = [
-        (index_of_measure(lifted, d), w) for d, w in zip(diracs, mu.weights)
-    ]
-    return make_measure(lifted, entries)
+        # Diracs at distinct atoms have distinct supports and never merge,
+        # so Dirac i is point i
+        return make_measure(lift(mu.ground, diracs), enumerate(mu.weights))
+    points = [index_of_measure(lifted, d) for d in diracs]
+    return make_measure(lifted, zip(points, mu.weights))
 
 
 def _exact_complement(alpha: float, lam: float) -> float:
@@ -195,9 +192,8 @@ def sample_flatten_preimage(mu: IdempotentMeasure, group_count: int, rng,
                 beta = min(0.0, mu.weights[l] - alphas[i]) - u
                 inner_entries[i].append((mu.atoms[l], beta))
 
+    # nu_i has weight 0 at its group's representative; any other nu_j lacks
+    # that atom or holds it as a cross-membership of weight <= -0.1, so no
+    # two inner measures merge and nu_i is point i
     nus = [make_measure(mu.ground, entries) for entries in inner_entries]
-    lifted = lift(mu.ground, nus)
-    outer = [
-        (index_of_measure(lifted, nu), alpha) for nu, alpha in zip(nus, alphas)
-    ]
-    return make_measure(lifted, outer)
+    return make_measure(lift(mu.ground, nus), enumerate(alphas))

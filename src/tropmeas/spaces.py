@@ -26,10 +26,14 @@ The builder defers that call to the first read of the space's ``dist``;
 ``lift`` and ``lift_extend`` make that read before they return, so their
 spaces come with every distance computed.  The CLI's document parser
 calls the builder directly, so a command computes a lifted level's
-distances only when it measures at the level above.
+distances only when it measures at the level above.  The builder also
+checks that every measure lies on the one ground space.
 Each lifted space indexes its points by their ``atoms``; the builder's
 dedupe and :func:`index_of_measure` share one lookup there: the first
-point with the same atoms and weights within 1e-9.
+point with the same atoms and weights within 1e-9.  The builder reports
+the point each measure it was given landed on, so a caller never looks
+up a measure it built the space from; :func:`index_of_measure` is for a
+measure the space was not built from in that call.
 """
 
 from dataclasses import dataclass
@@ -105,17 +109,6 @@ class FiniteMetricSpace:
             if v is not None:
                 raise InvalidSpaceError(v.message)
 
-    @classmethod
-    def _lifted(cls, level, truncation_diam, points, by_atoms, fill):
-        """An unchecked lifted space labeled mu0, mu1, ... over ``points``,
-        with the atom index ``by_atoms``, whose distance matrix ``fill()``
-        returns on the first read of ``dist`` or ``_rows``."""
-        space = cls.__new__(cls)
-        space._set_points(tuple(f"mu{i}" for i in range(len(points))),
-                          float(truncation_diam), level, tuple(points), by_atoms)
-        space._fill = fill
-        return space
-
     def _set_points(self, labels, truncation_diam, level, points, by_atoms):
         self.labels = labels
         self.truncation_diam = truncation_diam
@@ -133,7 +126,7 @@ class FiniteMetricSpace:
 
     def __getattr__(self, name):
         # Called only for an unset slot, so a space whose matrix is set
-        # pays nothing per read.  A space from _lifted leaves ``dist`` and
+        # pays nothing per read.  A space from _build leaves ``dist`` and
         # ``_rows`` unset until one of them is read; a fill that raises
         # sets neither, and the next read computes the whole matrix again.
         if name not in ("dist", "_rows"):
@@ -238,24 +231,36 @@ def _first_close(points, by_atoms, mu):
     return None
 
 
-def _build(level: int, diam: float, base, measures):
-    """The lifted space over the points of ``base`` (or none) and ``measures``.
+def _build(ground: FiniteMetricSpace, measures, base=None):
+    """The lifted space over ``ground`` holding the points of ``base`` (or
+    none) and ``measures``, and the point each measure landed on.
 
-    Measures already present (see :func:`_first_close`) are skipped.
-    Returns None when nothing is new.  The distance matrix is left to the
-    first read of ``dist``: it copies the block of ``base`` and computes
-    only the pairs with a new measure, in one batch.
+    Returns ``(space, where)``: ``where[i]`` is the point index of
+    ``measures[i]``, the first point equal to it (see :func:`_first_close`)
+    or the new point it became, so a caller need not look it up again.
+    ``space`` is ``base`` itself when nothing is new.  Every measure must
+    lie on ``ground``; the space's level and truncation diameter come from
+    ``ground``.  The new space is labeled mu0, mu1, ... and unchecked; its
+    distance matrix is left to the first read of ``dist``: it copies the
+    block of ``base`` and computes only the pairs with a new measure, in
+    one batch.
     """
     pts = [] if base is None else list(base.points)
     old = len(pts)
     by_atoms = {} if base is None else {a: list(ix) for a, ix in base._by_atoms.items()}
+    where = []
     for m in measures:
-        if _first_close(pts, by_atoms, m) is None:
-            by_atoms.setdefault(m.atoms, []).append(len(pts))
+        if m.ground is not ground:
+            raise _measures.SpaceMismatchError("all lifted measures must share the ground space")
+        i = _first_close(pts, by_atoms, m)
+        if i is None:
+            i = len(pts)
+            by_atoms.setdefault(m.atoms, []).append(i)
             pts.append(m)
+        where.append(i)
     n = len(pts)
     if n == old:
-        return None
+        return base, where
 
     def fill():
         from .transport import measure_distances
@@ -270,7 +275,11 @@ def _build(level: int, diam: float, base, measures):
         dmat[rows, cols] = dmat[cols, rows] = measure_distances(pts, rows, cols)
         return dmat
 
-    return FiniteMetricSpace._lifted(level, diam, pts, by_atoms, fill)
+    space = FiniteMetricSpace.__new__(FiniteMetricSpace)
+    space._set_points(tuple(f"mu{i}" for i in range(n)), ground.truncation_diam,
+                      ground.level + 1, tuple(pts), by_atoms)
+    space._fill = fill
+    return space, where
 
 
 def lift(ground: FiniteMetricSpace, measures) -> FiniteMetricSpace:
@@ -284,10 +293,7 @@ def lift(ground: FiniteMetricSpace, measures) -> FiniteMetricSpace:
     measures = list(measures)
     if not measures:
         raise InvalidSpaceError("lift needs at least one measure")
-    for m in measures:
-        if m.ground is not ground:
-            raise _measures.SpaceMismatchError("all lifted measures must share the ground space")
-    lifted = _build(ground.level + 1, ground.truncation_diam, None, measures)
+    lifted, _ = _build(ground, measures)
     lifted.dist  # the first read computes the matrix, here inside the call
     return lifted
 
@@ -302,17 +308,17 @@ def lift_extend(lifted: FiniteMetricSpace, extra_measures) -> FiniteMetricSpace:
     """
     if lifted.level < 1:
         raise InvalidSpaceError("lift_extend needs a lifted space")
-    extended = _build(lifted.level, lifted.truncation_diam, lifted, extra_measures)
-    if extended is None:
-        return lifted
-    extended.dist  # the first read computes the matrix, here inside the call
+    extended, _ = _build(lifted.points[0].ground, extra_measures, lifted)
+    if extended is not lifted:
+        extended.dist  # the first read computes the matrix, here inside the call
     return extended
 
 
 def index_of_measure(lifted: FiniteMetricSpace, mu) -> int:
     """Locate the first point of a lifted space equal to ``mu``, by the
     builder's own rule (:func:`_first_close`): same atoms, weights within
-    1e-9, first in index order."""
+    1e-9, first in index order.  For a measure the space was not built
+    from: the builder already reports where each of its measures landed."""
     if lifted.level < 1:
         raise InvalidSpaceError("only lifted spaces have measures as points")
     i = _first_close(lifted.points, lifted._by_atoms, mu)

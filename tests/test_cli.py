@@ -12,7 +12,7 @@ from tropmeas.cli import (
     measure_to_term,
     parse_document,
 )
-from tropmeas.spaces import lift
+from tropmeas.spaces import index_of_measure, lift
 
 WORKED = {
     "space": {"points": ["a", "b"], "dist": [[0, 2], [2, 0]]},
@@ -159,12 +159,16 @@ LEVEL3_PAIRS["measures"].update({
 })
 
 
-def test_commands_compute_only_the_levels_they_measure(tmp_path, kernel_calls):
+def test_commands_compute_only_the_levels_they_measure(tmp_path, kernel_calls, lookups):
     path = tmp_path / "level3.json"
     path.write_text(json.dumps(LEVEL3_PAIRS))
     file = str(path)
     doc = parse_document(path.read_text())
     assert kernel_calls == []
+    # one lookup per member handed to the builder, at levels 1 and 2; the
+    # builder's answer places each atom of the level above
+    members = [doc.measures[n] for n in ("m1", "m2", "M", "N")]
+    assert [id(m) for m in lookups] == [id(m) for m in members]
     for argv in (["flatten", file, "MM"], ["flatten", file, "NN"], ["flatten", file, "M"],
                  ["eval", file, "m2", "--phi", "a=1,b=5"],
                  ["push", file, "m2", "--map", "a=b,b=b"],
@@ -242,6 +246,12 @@ def test_deferred_distances_match_an_eager_lift():
             assert ground._by_atoms == {
                 a: [i for i, p in enumerate(ground.points) if p.atoms == a]
                 for a in {p.atoms for p in ground.points}}
+        # the builder's report of each member's point matches a lookup of it
+        for name, mu in doc.measures.items():
+            if mu.ground.level >= 1:
+                entries = [(index_of_measure(mu.ground, doc.measures[e["atom"]]), e["weight"])
+                           for e in raw["measures"][name]["support"]]
+                assert tm.make_measure(mu.ground, entries) == mu
     assert merged > 0
 
 

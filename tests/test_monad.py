@@ -125,13 +125,20 @@ def test_map_unit_examples(setting):
     assert d.support_size == 1 and d.weights == (0.0,)
 
 
-def test_map_unit_flatten_roundtrip_random():
+def test_map_unit_flatten_roundtrip_random(lookups):
     rng = np.random.default_rng(23)
     for _ in range(200):
         sp = tm.gen_space(int(rng.integers(3, 7)), rng)
         mu = tm.gen_measure(sp, 4, rng)
-        assert flatten(map_unit(mu)) == mu
+        del lookups[:]
+        lifted_mu = map_unit(mu)
+        # Dirac i is point i, and the builder's dedupe is the only lookup
+        assert lifted_mu.ground.points == tuple(tm.dirac(sp, a) for a in mu.atoms)
+        assert lookups == list(lifted_mu.ground.points)
+        assert flatten(lifted_mu) == mu
+        del lookups[:]
         assert flatten(unit(mu)) == mu
+        assert lookups == [mu]
 
 
 def test_preimage_single_group_is_unit(setting):
@@ -161,14 +168,19 @@ def test_preimage_invalid_group_count(setting):
         sample_flatten_preimage(nu1, 3, np.random.default_rng(0))
 
 
-def test_preimage_flatten_roundtrip_exact_random():
+def test_preimage_flatten_roundtrip_exact_random(lookups):
     rng = np.random.default_rng(24)
     for _ in range(500):
         sp = tm.gen_space(int(rng.integers(3, 7)), rng)
         mu = tm.gen_measure(sp, 4, rng)
         s = int(rng.integers(1, mu.support_size + 1))
         extras = int(rng.integers(0, 4))
+        del lookups[:]
         M = sample_flatten_preimage(mu, s, rng, extras)
+        # no two inner measures merge, and the builder's dedupe of the s
+        # inner measures is the only lookup
+        assert len(M.ground) == s
+        assert [id(m) for m in lookups] == [id(p) for p in M.ground.points]
         assert flatten(M) == mu  # bitwise
 
 

@@ -197,11 +197,20 @@ def test_lift_is_order_insensitive_up_to_relabeling(worked):
     assert {id(p) for p in a.points} == {id(p) for p in b.points}
 
 
-def test_lift_rejects_foreign_measures(worked):
-    sp, m1, _ = worked
+def test_lift_rejects_foreign_measures(worked, kernel_calls):
+    sp, m1, m2 = worked
     other = FiniteMetricSpace(["a", "b"], [[0, 2], [2, 0]])
-    with pytest.raises(tm.SpaceMismatchError):
+    L = lift(sp, [m1, m2])
+    del kernel_calls[:]
+    mismatch = "all lifted measures must share the ground space"
+    with pytest.raises(tm.SpaceMismatchError, match=mismatch):
         lift(other, [m1])
+    # lift_extend shares the builder's check: a measure over another space
+    # or over the lifted space itself is refused before any distance
+    for foreign in (tm.dirac(other, "b"), tm.dirac(L, 0)):
+        with pytest.raises(tm.SpaceMismatchError, match=mismatch):
+            lift_extend(L, [m2, foreign])
+    assert kernel_calls == []
     with pytest.raises(InvalidSpaceError):
         lift(sp, [])
 
