@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 parse/validation error,
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .measures import (
     pushforward,
 )
 from .monad import flatten
-from .spaces import FiniteMetricSpace, _build, validate
+from .spaces import FiniteMetricSpace, _build, _restrict, validate
 from .transport import bottleneck_distance, bottleneck_distance_bruteforce
 from .verify import (
     MIN_SPACE_SIZE,
@@ -129,10 +130,13 @@ def _space_from_raw(raw) -> FiniteMetricSpace:
     if (not isinstance(dist, list) or len(dist) != n
             or any(not isinstance(r, list) or len(r) != n for r in dist)):
         raise DocumentError(f"'dist' must be a {n}x{n} matrix")
-    for row in dist:
-        for v in row:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise DocumentError(f"distance {v!r} is not a number")
+    # one C-level pass over the types; bool is its own type, so it fails too.
+    # Only then the loop, to name the first bad value in row-major order.
+    if not set(map(type, itertools.chain.from_iterable(dist))) <= {int, float}:
+        for row in dist:
+            for v in row:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise DocumentError(f"distance {v!r} is not a number")
     try:
         space = FiniteMetricSpace(points, dist, check=False)
     except Exception as e:
@@ -150,8 +154,9 @@ def parse_document(text: str) -> Document:
     lifted spaces are built level by level, so measures of measures of any
     depth share one lifted space per level.  A lifted space computes its
     distances on their first read, so only a command that measures at the
-    level above pays for them.  An atom string resolves to a point label
-    first and to a named measure otherwise.
+    level above pays for them; ``dist`` measures over a tower restricted
+    to its two measures and never reads these.  An atom string resolves to
+    a point label first and to a named measure otherwise.
     """
     try:
         raw = json.loads(text)
@@ -315,6 +320,11 @@ def _print_term(mu: IdempotentMeasure):
 
 
 def cmd_dist(args) -> int:
+    """H and rho between two measures of one level, and with ``--oracle``
+    the brute-force H.  Both run over the tower restricted to the points
+    the two measures reach (:func:`~tropmeas.spaces._restrict`), so only
+    the distances among those are computed; the values are bit for bit
+    those over the document's full levels."""
     doc = _load(args.file)
     m1 = doc.measure(args.m1)
     m2 = doc.measure(args.m2)
@@ -322,6 +332,7 @@ def cmd_dist(args) -> int:
         raise DocumentError(
             f"{args.m1!r} and {args.m2!r} are measures at different levels"
         )
+    m1, m2 = _restrict([m1, m2])
     h = bottleneck_distance(m1, m2)
     d = m1.ground.truncation_diam
     if h > d:

@@ -7,7 +7,8 @@ constructor builds these and no other.  A level-k space for k >= 1 is a
 the level k-1 space and whose pairwise distances are the truncated
 bottleneck transport metric of :mod:`tropmeas.transport`.  Its metric is
 fixed by its ground, so it is never user input: lifted spaces come only
-from :func:`lift`, :func:`lift_extend` and the CLI's document parser.
+from :func:`lift`, :func:`lift_extend`, the CLI's document parser and
+:func:`_restrict`, all through one builder.
 
 Every space stores an explicit truncation diameter used by the metric's
 ``min(diam, .)`` truncation.  For level-0 spaces it equals the maximum
@@ -26,8 +27,10 @@ The builder defers that call to the first read of the space's ``dist``;
 ``lift`` and ``lift_extend`` make that read before they return, so their
 spaces come with every distance computed.  The CLI's document parser
 calls the builder directly, so a command computes a lifted level's
-distances only when it measures at the level above.  The builder also
-checks that every measure lies on the one ground space.
+distances only when it measures at the level above.  :func:`_restrict`
+rebuilds the tower under a few measures with only the points they reach,
+so the CLI's ``dist`` computes only the distances among those.  The
+builder also checks that every measure lies on the one ground space.
 Each lifted space indexes its points by their ``atoms``; the builder's
 dedupe and :func:`index_of_measure` share one lookup there: the first
 point with the same atoms and weights within 1e-9.  The builder reports
@@ -80,11 +83,12 @@ class FiniteMetricSpace:
     :class:`InvalidSpaceError` on failure; pass ``check=False`` to build
     an unchecked space for later inspection with :func:`validate`.
     Lifted spaces (``level >= 1``) come from :func:`lift`,
-    :func:`lift_extend` and the CLI's document parser.  They carry their
-    points as measures, are not validated because their distances are
-    computed, not user input, and compute their distance matrix on the
-    first read of ``dist``, once; a fill that raises is not kept, and the
-    next read starts again.  Either way ``dist`` is read-only.
+    :func:`lift_extend`, the CLI's document parser and :func:`_restrict`.
+    They carry their points as measures, are not validated because their
+    distances are computed, not user input, and compute their distance
+    matrix on the first read of ``dist``, once; a fill that raises is not
+    kept, and the next read starts again.  Either way ``dist`` is
+    read-only.
     """
 
     __slots__ = ("labels", "dist", "truncation_diam", "level", "points", "_rows", "_index",
@@ -280,6 +284,35 @@ def _build(ground: FiniteMetricSpace, measures, base=None):
                       ground.level + 1, tuple(pts), by_atoms)
     space._fill = fill
     return space, where
+
+
+def _restrict(measures):
+    """The same ``measures`` (over one space) over a tower holding only the
+    points they reach, built through :func:`_build`; distances between the
+    results equal those between the inputs, bit for bit.
+
+    Level 0 is kept whole: its largest distance is the truncation diameter
+    of every level above.  At a lifted level the atoms ``used`` are
+    restricted recursively, rebuilt in order, and renumbered by the
+    monotone map ``used[k] -> k`` with the weights unchanged.  Nothing can
+    merge: the points of a lifted space are pairwise apart under the
+    builder's 1e-9 rule, and a monotone renumbering keeps equal atoms
+    equal and distinct ones distinct.  A distance reads only the two
+    measures' entries and the ground distances among their atoms, which
+    are equal by induction; the kernel and the loop agree bit for bit, so
+    how the smaller fill groups its pairs changes nothing; and
+    ``make_measure`` returns normalized weights unchanged.
+    """
+    ground = measures[0].ground
+    if ground.level == 0:
+        return list(measures)
+    used = sorted({a for m in measures for a in m.atoms})
+    inner = _restrict([ground.points[i] for i in used])
+    small, where = _build(inner[0].ground, inner)
+    assert where == list(range(len(used))), "restricting merged points"
+    new = {a: k for k, a in enumerate(used)}
+    return [_measures.make_measure(small, [(new[a], w) for a, w in m.entries()])
+            for m in measures]
 
 
 def lift(ground: FiniteMetricSpace, measures) -> FiniteMetricSpace:

@@ -12,7 +12,8 @@ from tropmeas.cli import (
     measure_to_term,
     parse_document,
 )
-from tropmeas.spaces import index_of_measure, lift
+from tropmeas.spaces import _restrict, index_of_measure, lift
+from tropmeas.transport import bottleneck_distance
 
 WORKED = {
     "space": {"points": ["a", "b"], "dist": [[0, 2], [2, 0]]},
@@ -188,6 +189,23 @@ def test_commands_compute_only_the_levels_they_measure(tmp_path, kernel_calls, l
     assert doc.measures["M"].ground.dist is level2.points[0].ground.dist
     assert len(kernel_calls) == 2
 
+    # measures that M/N and MM/NN do not reach widen levels 1 and 2 of the
+    # parse, but dist computes only the pairs among the points it reaches
+    wider = json.loads(json.dumps(LEVEL3_PAIRS))
+    wider["measures"].update({
+        "m3": {"support": [{"atom": "b", "weight": 0}]},
+        "P": {"support": [{"atom": "m3", "weight": 0}, {"atom": "m1", "weight": -1}]},
+    })
+    path.write_text(json.dumps(wider))
+    wide = parse_document(path.read_text())
+    assert len(wide.measures["M"].ground) == len(wide.measures["MM"].ground) == 3
+    del kernel_calls[:]
+    assert main(["dist", file, "M", "N"]) == 0
+    assert kernel_calls == [1]
+    del kernel_calls[:]
+    assert main(["dist", file, "MM", "NN"]) == 0
+    assert kernel_calls == [1, 1]
+
 
 def _random_level3_document(rng):
     """A level-3 document whose terms include exact and near copies (nonzero
@@ -253,6 +271,69 @@ def test_deferred_distances_match_an_eager_lift():
                            for e in raw["measures"][name]["support"]]
                 assert tm.make_measure(mu.ground, entries) == mu
     assert merged > 0
+
+
+def _seeded_cli_document(rng):
+    """A 64-point document with 120, 40 and 8 measures at levels 1, 2 and 3
+    (supports of 2-6, 2-5 and 2-4 atoms, weights within a quarter of the
+    diameter, so that few distances are truncated)."""
+    space = tm.gen_space(64, rng)
+    measures = {}
+    pool = list(space.labels)
+    for prefix, count, most in (("a", 120, 6), ("b", 40, 5), ("c", 8, 4)):
+        names = [f"{prefix}{i}" for i in range(count)]
+        for name in names:
+            size = int(rng.integers(2, most + 1))
+            atoms = [pool[int(i)] for i in rng.choice(len(pool), size, replace=False)]
+            weights = [0.0] + [-float(rng.uniform(0, space.truncation_diam / 4))
+                               for _ in range(size - 1)]
+            measures[name] = {"support": [{"atom": a, "weight": w}
+                                          for a, w in zip(atoms, weights)]}
+        pool = names
+    return {"space": {"points": list(space.labels), "dist": space.dist.tolist()},
+            "measures": measures}
+
+
+def _assert_reached_and_unmerged(measures):
+    """Every point of every lifted level under ``measures`` is an atom of
+    the level above, and the builder merged none of them."""
+    while measures[0].ground.level >= 1:
+        ground = measures[0].ground
+        assert sorted({a for m in measures for a in m.atoms}) == list(range(len(ground)))
+        assert len({(p.atoms, p.weights) for p in ground.points}) == len(ground)
+        measures = ground.points
+
+
+def test_restricted_dist_equals_the_full_level_bitwise(tmp_path, capsys):
+    rng = np.random.default_rng(2010)
+    documents = ([WORKED, LEVEL3, LEVEL3_PAIRS]
+                 + [_random_level3_document(rng) for _ in range(20)]
+                 + [_seeded_cli_document(np.random.default_rng(16))])
+    checked = {2: 0, 3: 0}
+    for raw in documents:
+        doc = parse_document(json.dumps(raw))
+        for m1 in doc.measures.values():
+            level = m1.ground.level + 1
+            if level < 2:
+                continue
+            for m2 in doc.measures.values():
+                if m2.ground is not m1.ground:
+                    continue
+                r1, r2 = _restrict([m1, m2])
+                assert r1.ground is r2.ground and r1.ground is not m1.ground
+                assert (r1.weights, r2.weights) == (m1.weights, m2.weights)
+                assert r1.ground.truncation_diam == m1.ground.truncation_diam
+                _assert_reached_and_unmerged([r1, r2])
+                assert (bottleneck_distance(r1, r2).hex()
+                        == bottleneck_distance(m1, m2).hex())
+                checked[level] += 1
+    assert checked[2] > 1600 and checked[3] > 64
+
+    path = tmp_path / "level3.json"
+    path.write_text(json.dumps(LEVEL3_PAIRS))
+    assert main(["dist", "--oracle", str(path), "M", "N"]) == 0
+    assert capsys.readouterr().out == ("H = 2, rho_I = 2 (diam = 2, no truncation)\n"
+                                       "H_oracle = 2\n")
 
 
 @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
@@ -478,6 +559,17 @@ def test_huge_integer_weight_exits_2(tmp_path, capsys):
         '{"atom": "b", "weight": -1' + "0" * 400 + '}]}}}')
     assert main(["dist", str(path), "m", "m"]) == 2
     assert "non-finite weight -inf in support of 'm'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell,shown", [
+    (True, "True"), ("1", "'1'"), (None, "None"), ([0], "[0]"),
+])
+def test_non_number_distance_exits_2(cell, shown, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"space": {"points": ["a", "b"],
+                                          "dist": [[0, 1], [1, cell]]}}))
+    assert main(["dist", str(path), "m", "m"]) == 2
+    assert capsys.readouterr().err == f"error: distance {shown} is not a number\n"
 
 
 _CHAIN = {f"m{i}": {"support": [{"atom": f"m{i + 1}", "weight": 0}]} for i in range(2999)}

@@ -398,3 +398,49 @@ def test_space_mismatch_rejected(worked):
         bottleneck_distance(m1, m_other)
     with pytest.raises(tm.SpaceMismatchError):
         measure_distance(m1, m_other)
+
+
+# Findings, not fixes: the metric as implemented charges a weight gap in
+# full however far below the maximum it lies, so on the path a-b-c
+# (distances 1, 1 and 2) it separates measures that every phi in [-1, 1]
+# evaluates alike, and a map moving points by 1 can move a measure by more.
+
+
+@pytest.fixture
+def path3():
+    return tm.FiniteMetricSpace(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
+def _mu_t(space, t):
+    return tm.make_measure(space, [("a", -float(t)), ("b", 0.0)])
+
+
+@pytest.mark.parametrize("t", [3, 4, 10])
+def test_weak_limit_stays_at_the_diameter(t, path3):
+    mu, delta_b = _mu_t(path3, t), tm.dirac(path3, "b")
+    assert measure_distance(mu, delta_b) == 2.0
+    assert bottleneck_distance(mu, delta_b) == t + 1
+    assert bottleneck_distance_bruteforce(mu, delta_b) == t + 1
+    rng = np.random.default_rng(t)
+    for _ in range(200):
+        phi = tm.FunctionOnSpace(path3, tuple(rng.uniform(-1, 1, 3)))
+        assert tm.evaluate(mu, phi) == tm.evaluate(delta_b, phi)
+
+
+def test_weak_limit_sequence_is_diameter_separated(path3):
+    sequence = [_mu_t(path3, t) for t in range(2, 11, 2)]
+    d = tm.lift(path3, sequence).dist
+    assert d.shape == (5, 5)
+    assert (d[~np.eye(5, dtype=bool)] == 2.0).all()
+    for (i, m1), (j, m2) in itertools.permutations(enumerate(sequence), 2):
+        assert min(bottleneck_distance_bruteforce(m1, m2), 2.0) == d[i, j]
+
+
+def test_retraction_moving_points_by_1_moves_a_measure_by_1_5(path3):
+    retract = {"a": "a", "b": "a", "c": "c"}
+    assert max(path3.dist[path3.index(x), path3.index(y)] for x, y in retract.items()) == 1.0
+    mu = tm.make_measure(path3, [("a", -1.5), ("b", 0.0)])
+    image = tm.pushforward(retract, mu)
+    assert image == tm.dirac(path3, "a")
+    assert measure_distance(mu, image) == 1.5
+    assert bottleneck_distance_bruteforce(mu, image) == 1.5
