@@ -29,7 +29,7 @@ __all__ = ["DEFECTS", "enabled", "inject", "active"]
 _PATCHES = {
     "drop-cost-abs": (
         (transport._witness_loop, "c = (wj - wk) + p1", "c = (wk - wj) + p1"),
-        (transport._witness_kernel, "c = np.abs(g) + d", "c = g + d"),
+        (transport._witness_kernel, "c = np.abs(g, out=g)", "c = g"),
     ),
     "skip-truncation": (
         (transport.measure_distance, "return h if h <= d else d", "return h"),

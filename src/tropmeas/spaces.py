@@ -21,8 +21,9 @@ even when the sampled pairwise distances all stay below it.
 space, keeping its points and distances) are two front doors to one
 builder: it skips measures that are already points and computes the
 metric only for pairs with a new point, all in one call of
-:func:`tropmeas.transport.measure_distances`, whose batched kernel gives
-each distance bit for bit as :func:`~tropmeas.transport.measure_distance`.
+:func:`tropmeas.transport.measure_distances`, whose tiled kernel gives
+each distance bit for bit as :func:`~tropmeas.transport.measure_distance`;
+the builder hands it the pairs row by row, the order its tiles take.
 The builder defers that call to the first read of the space's ``dist``;
 ``lift`` and ``lift_extend`` make that read before they return, so their
 spaces come with every distance computed.  The CLI's document parser
@@ -272,10 +273,12 @@ def _build(ground: FiniteMetricSpace, measures, base=None):
         dmat = np.zeros((n, n))
         if old:
             dmat[:old, :old] = base.dist
-        # every pair (i, j) with i < j and j new, column by column: column j
-        # holds rows 0..j-1 and starts after the j(j-1)/2 - old(old-1)/2 before it
-        cols = np.repeat(np.arange(old, n), np.arange(old, n))
-        rows = np.arange(len(cols)) - (cols * (cols - 1) - old * (old - 1)) // 2
+        # every pair (i, j) with i < j and j new, row by row, the order the
+        # kernel tiles them in: row i holds columns first[i]..n-1
+        first = np.maximum(np.arange(1, n + 1), old)
+        count = n - first
+        rows = np.repeat(np.arange(n), count)
+        cols = np.arange(len(rows)) + np.repeat(first - np.cumsum(count) + count, count)
         dmat[rows, cols] = dmat[cols, rows] = measure_distances(pts, rows, cols)
         return dmat
 
@@ -300,7 +303,7 @@ def _restrict(measures):
     equal and distinct ones distinct.  A distance reads only the two
     measures' entries and the ground distances among their atoms, which
     are equal by induction; the kernel and the loop agree bit for bit, so
-    how the smaller fill groups its pairs changes nothing; and
+    how the smaller fill tiles its pairs changes nothing; and
     ``make_measure`` returns normalized weights unchanged.
     """
     ground = measures[0].ground

@@ -1,7 +1,6 @@
 import contextlib
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -189,11 +188,10 @@ def _grid_measure(space, size, rng):
 
 
 def _kernel(m1, m2):
-    """The numpy kernel on one pair, as a batch of one in the (n, 1) layout."""
+    """The numpy kernel on one pair, as a one-pair tile."""
     return float(_witness_kernel(
-        np.array(m1.weights)[:, None], np.array(m1.atoms)[:, None],
-        np.array(m2.weights)[:, None], np.array(m2.atoms)[:, None],
-        m1.ground.dist)[0])
+        np.array(m1.weights), m1.ground.dist.take(m1.atoms, axis=0), [(m1.support_size, 1)],
+        np.array(m2.weights), np.array(m2.atoms), [(m2.support_size, 1)])[0, 0])
 
 
 def _min_worst_cost_over_patterns(m1, m2):
@@ -300,49 +298,148 @@ def _exact_size_measure(space, size, rng):
     return tm.gen_measure(space, size, rng, min_support=size)
 
 
+@pytest.fixture
+def tiles(monkeypatch):
+    """Per call through ``tiles["call"]``: the tiles the numpy kernel
+    computed, as (cells, row blocks, column blocks), and the pairs the
+    scalar loop computed."""
+    seen = {"kernel": [], "loop": 0}
+    kernel, loop = transport._witness_kernel, transport._witness_loop
+
+    def counted_kernel(w1, d1, blocks1, w2, a2, blocks2):
+        seen["kernel"].append((len(w1) * len(w2), blocks1, blocks2))
+        return kernel(w1, d1, blocks1, w2, a2, blocks2)
+
+    def counted_loop(mu1, mu2):
+        seen["loop"] += 1
+        return loop(mu1, mu2)
+
+    def call(build):
+        seen["kernel"], seen["loop"] = [], 0
+        return build(), seen["kernel"], seen["loop"]
+
+    monkeypatch.setattr(transport, "_witness_kernel", counted_kernel)
+    monkeypatch.setattr(transport, "_witness_loop", counted_loop)
+    seen["call"] = call
+    return seen
+
+
 @pytest.mark.parametrize("active", [
     names for r in range(len(defects.DEFECTS) + 1)
     for names in itertools.combinations(sorted(defects.DEFECTS), r)],
     ids=lambda names: "+".join(names) or "clean")
-def test_lift_matches_pairwise_measure_distance(active):
+def test_lift_matches_pairwise_measure_distance(active, tiles):
     rng = np.random.default_rng(24)
     sp = tm.gen_space(80, rng)
-    sides, most_cells = set(), 0
+    both_sides = spans_tiles = single_entries = False
     with contextlib.ExitStack() as stack:
         for name in active:
             stack.enter_context(defects.inject(name))
-        for case in range(7):
+        for case in range(8):
             # half the cases draw weights on a grid, so that weights tie
             make = _grid_measure if case % 2 else _exact_size_measure
             sizes = rng.choice([1, 2, 3, 5, 16, 64], size=int(rng.integers(8, 14)))
             if case == 4:
-                # a group of 64 x 64 pairs that spans several kernel chunks
+                # pairs of 64 x 64 supports over several tiles
                 sizes = np.append(sizes, [64] * 16)
             if case == 5:
-                # too few cells for any group to reach the cutoff
+                # too few cells for any tile to reach the cutoff
                 sizes = rng.choice([1, 2, 3], size=5)
             if case == 6:
-                # 4950 pairs of 4 x 4 supports: one group over several chunks
+                # 4950 pairs of 4 x 4 supports: runs of many row measures
                 sizes = np.full(100, 4)
             mus = [make(sp, int(n), rng) for n in sizes]
             half = len(mus) // 2
-            full = tm.lift(sp, mus)
-            for L in (full, tm.lift_extend(tm.lift(sp, mus[:half]), mus[half:])):
+            with pytest.MonkeyPatch.context() as m:
+                if case == 7:
+                    # a small tile budget: tiles on both sides of the cutoff in one fill
+                    m.setattr(transport, "_CHUNK_CELLS", 512)
+                base = tm.lift(sp, mus[:half])
+                calls = [tiles["call"](lambda: tm.lift(sp, mus)),
+                         tiles["call"](lambda: tm.lift_extend(base, mus[half:]))]
+            for L, kernel, loop in calls:
                 pts = L.points
                 expected = np.zeros((len(pts), len(pts)))
                 for j in range(len(pts)):
                     for i in range(j):
                         expected[i, j] = expected[j, i] = measure_distance(pts[i], pts[j])
                 assert L.dist.tobytes() == expected.tobytes()
-            pairs = Counter((p.support_size, q.support_size)
-                            for j, q in enumerate(full.points) for p in full.points[:j])
-            if case == 6:
-                assert pairs[4, 4] * 4 * 4 > transport._CHUNK_CELLS
-            sides |= {count * s1 * s2 >= VECTOR_CELL_CUTOFF
-                      for (s1, s2), count in pairs.items()}
-            most_cells = max(most_cells, *(count * s1 * s2 for (s1, s2), count in pairs.items()))
-    assert sides == {False, True}
-    assert most_cells > 2 * transport._CHUNK_CELLS
+                assert all(cells >= VECTOR_CELL_CUTOFF for cells, _, _ in kernel)
+                # each call is one fill; one with kernel tiles took no
+                # shortcut, so its loop pairs come from tiles below the cutoff
+                both_sides |= bool(kernel) and loop > 0
+                spans_tiles |= sum(cells for cells, _, _ in kernel) > 2 * transport._CHUNK_CELLS
+                single_entries |= any(n == 1 for _, b1, b2 in kernel for n, _ in b1 + b2)
+    assert both_sides and spans_tiles and single_entries
+
+
+def test_measure_distances_takes_any_pair_list():
+    # unsorted pairs, i > j, repeats and diagonal pairs, supports 1..256
+    # in one call, weights on a grid so that they tie, and a lifted ground
+    rng = np.random.default_rng(25)
+    big = tm.gen_space(300, rng)
+    small = tm.gen_space(12, rng)
+    lifted = tm.lift(small, [_grid_measure(small, int(n), rng)
+                             for n in rng.integers(1, 6, size=40)])
+    for case in range(12):
+        ground = lifted if case % 4 == 3 else big
+        top = min(256, len(ground))
+        sizes = [1, top, *np.rint(np.exp(rng.uniform(0, np.log(top), size=8))).astype(int)]
+        make = _grid_measure if case % 2 else _exact_size_measure
+        mus = [make(ground, int(n), rng) for n in rng.permutation(sizes)]
+        pairs = rng.integers(len(mus), size=(int(rng.integers(1, 60)), 2))
+        pairs = np.concatenate([pairs, pairs[:3], [[0, 0], [4, 4], [1, 0]]])
+        got = transport.measure_distances(mus, pairs[:, 0], pairs[:, 1])
+        assert got.dtype == float and got.shape == (len(pairs),)
+        assert [v.hex() for v in got.tolist()] == [
+            measure_distance(mus[i], mus[j]).hex() for i, j in pairs.tolist()]
+
+
+def test_measure_distances_rejects_unequal_index_lists():
+    rng = np.random.default_rng(26)
+    sp = tm.gen_space(40, rng)
+    small = [_exact_size_measure(sp, 2, rng) for _ in range(3)]
+    large = [_exact_size_measure(sp, 32, rng) for _ in range(3)]
+    for mus in (small, large):
+        for rows, cols in (([0, 1], [2]), ([0], [1, 2]), ([[0, 1]], [[1, 2]])):
+            with pytest.raises(ValueError, match="one length"):
+                transport.measure_distances(mus, rows, cols)
+
+
+def test_measure_distances_of_no_pairs_is_empty():
+    sp = tm.gen_space(5, np.random.default_rng(27))
+    for mus in ([], [tm.dirac(sp, 0), tm.dirac(sp, 1)]):
+        got = transport.measure_distances(mus, [], [])
+        assert got.dtype == float and got.shape == (0,)
+
+
+def test_threshold_search_matches_tiled_lifts_bitwise():
+    # a second oracle that shares no proof with the witness kernel, at the
+    # large supports the brute force cannot reach
+    rng = np.random.default_rng(28)
+    sp = tm.gen_space(300, rng)
+    diam = sp.truncation_diam
+    sizes = np.rint(np.exp(rng.uniform(np.log(16), np.log(256), size=10))).astype(int)
+    for make in (_exact_size_measure, _grid_measure):
+        mus = [make(sp, int(n), rng) for n in [16, 256, *sizes]]
+        d = tm.lift(sp, mus).dist
+        for j in range(len(mus)):
+            for i in range(j):
+                h = transport.bottleneck_distance_threshold(mus[i], mus[j])
+                assert d[i, j].hex() == min(h, diam).hex()
+                assert h.hex() == bottleneck_distance(mus[i], mus[j]).hex()
+
+
+def test_threshold_search_agrees_with_bruteforce():
+    rng = np.random.default_rng(29)
+    for i in range(200):
+        sp = tm.gen_space(int(rng.integers(4, 7)), rng)
+        if i % 2:
+            m1, m2 = (tm.gen_measure(sp, 4, rng) for _ in range(2))
+        else:
+            m1, m2 = (_grid_measure(sp, int(rng.integers(1, 5)), rng) for _ in range(2))
+        h = transport.bottleneck_distance_threshold(m1, m2)
+        assert h.hex() == bottleneck_distance_bruteforce(m1, m2).hex()
 
 
 def test_pattern_monotonicity_sample(worked):
