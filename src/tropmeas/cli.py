@@ -285,7 +285,7 @@ def _load(path: str) -> Document:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DocumentError(f"cannot read {path}: {e}") from None
     return parse_document(text)
 

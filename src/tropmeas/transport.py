@@ -28,20 +28,22 @@ Witness sets are never empty because normalization gives both measures a
 weight-0 atom.
 
 This is evaluated by one numpy kernel or one scalar double loop.
-:func:`measure_distances` takes many pairs at once, in tiles.  Pairs are
+:func:`measure_distances` takes many pairs at once, and one rule picks
+the path of a call: when its pair count times its largest support
+squared stays below ``VECTOR_CELL_CUTOFF``, every pair takes the loop,
+and otherwise every pair goes through the kernel, in tiles.  Pairs are
 taken by row measure; a run of row measures gathers its ground rows
 (rows of the distance matrix) once, as one block, and is paired with
 chunks of the column measures it meets, their weights and atoms
 concatenated along the contiguous axis.  The kernel masks the costs
 ``|w2[k] - w1[j]| + d(x1[j], x2[k])`` of a tile by weight dominance and
-reduces them per measure: a minimum over each row's entries of a column
-measure, a maximum over each row measure's entries, and likewise for the
-columns.  One rule picks the path: a tile of at least
-``VECTOR_CELL_CUTOFF`` cells (ground rows x column entries) goes to the
-kernel, a smaller one takes the loop.  :func:`bottleneck_distance` is a
-one-pair tile.  Both paths perform the same float operations on each
-cell, and min and max do no rounding, so neither the tiling nor the path
-changes a bit of the result.
+reduces them by segments, one ``reduceat`` a step: a minimum over each
+row's entries of a column measure, a maximum over each row measure's
+entries, and likewise for the columns.  :func:`bottleneck_distance` is
+one pair: at least ``VECTOR_CELL_CUTOFF`` cells make it a one-pair tile.
+Both paths perform the same float operations on each cell, and min and
+max do no rounding, so neither the tiling nor the path changes a bit of
+the result.
 
 :func:`bottleneck_distance_bruteforce` enumerates all support patterns
 with independent feasibility filtering and exists to keep this argument
@@ -50,7 +52,6 @@ search, does the same at supports the enumeration cannot reach.
 """
 
 import math
-from itertools import groupby
 
 import numpy as np
 
@@ -73,16 +74,18 @@ __all__ = [
 #: Size guard for exhaustive pattern enumeration (support product).
 ORACLE_CELL_LIMIT = 20
 
-#: Cells of a tile (ground rows x column entries) from which the numpy
-#: kernel takes over from the scalar loop, near the break-even of the two
-#: paths.  Loop/kernel time ratios of one tile, best of 15 on a 2-vCPU
-#: Xeon VM (Python 3.11, numpy 2.4): one pair 0.12x at 4x4, 0.3x at 8x8,
-#: 0.8x at 16x16, 1.4x at 24x24, 2.4x at 32x32, 15x at 256x256; 256 cells
-#: as a 2-entry row measure against 64 of 2 entries, 4 against 16 of 4 or
-#: 8 against 4 of 8: 6x, 2.6x, 1.05x; 512 cells 2.2x-11x.  A call whose
-#: pair count times its largest support squared stays below this takes the
-#: loop without tiling; tiling a call costs about 130 us, so a call of 256
-#: cells runs 0.5x-0.9x as fast through tiles as through the loop.
+#: Work below which the scalar loop beats the numpy kernel: a pair of
+#: fewer cells (support sizes multiplied) takes the loop in
+#: bottleneck_distance, and so does every pair of a measure_distances call
+#: whose pair count times its largest support squared stays below it.
+#: Loop/kernel time ratios, best of 15 on a 2-vCPU Xeon VM (Python 3.11,
+#: numpy 2.4): one pair in bottleneck_distance 0.66x at 8x8, 1.6x at
+#: 16x16, 2.5x at 24x24, 3.6x at 32x32, 7x at 256x256; a whole
+#: measure_distances call of one row measure against k others, at 256
+#: cells 0.39x (1 of 16x16), 0.48x (4 of 8x8), 0.67x (16 of 4x4), 1.0x
+#: (64 of 2x2), at 1024 cells 1.0x (4 of 16x16), 1.3x (16 of 8x8), 1.5x
+#: (64 of 4x4).  Tiling costs a call about 100 us, so a call breaks even
+#: nearer 1024 cells; the one constant keeps the break-even of a pair.
 VECTOR_CELL_CUTOFF = 256
 
 #: Cells per tile, bounding the kernel's temporaries; a run's block of
@@ -143,16 +146,15 @@ def pattern_feasible(pattern, mu1: IdempotentMeasure, mu2: IdempotentMeasure) ->
 def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     """Min over couplings of the worst pair cost, via the witness bound.
 
-    A pair of at least VECTOR_CELL_CUTOFF cells is a one-pair tile for the
-    numpy kernel, a smaller one takes the scalar loop; both give the same
-    float, bit for bit.
+    A pair of at least VECTOR_CELL_CUTOFF cells (support sizes multiplied)
+    is a one-pair tile for the numpy kernel, a smaller one takes the
+    scalar loop; both give the same float, bit for bit.
     """
     _same_space(mu1, mu2)
     if mu1.support_size * mu2.support_size >= VECTOR_CELL_CUTOFF:
         return float(_witness_kernel(
-            np.array(mu1.weights), mu1.ground.dist.take(mu1.atoms, axis=0),
-            [(mu1.support_size, 1)], np.array(mu2.weights), np.array(mu2.atoms),
-            [(mu2.support_size, 1)])[0, 0])
+            np.array(mu1.weights), mu1.ground.dist.take(mu1.atoms, axis=0), [0],
+            np.array(mu2.weights), np.array(mu2.atoms), [0])[0, 0])
     return _witness_loop(mu1, mu2)
 
 
@@ -186,47 +188,13 @@ def _witness_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     return max(rows, cols)
 
 
-def _blocks(n):
-    """(size, count) of each run of equal support sizes in ``n``."""
-    cut = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(n)]
-    return [(int(n[a]), b - a) for a, b in zip(cut, cut[1:])]
-
-
-def _per_measure(ufunc, a, blocks, axis):
-    """``ufunc`` over the entries of each measure along ``axis`` of ``a``,
-    where the measures stand one after another in ``blocks``."""
-    # Along axis 0 a block is one reduce over the middle axis of (count,
-    # size, columns).  Along axis 1 a reduce over a short last axis pays per
-    # measure, so a block of many short measures takes one ufunc call per
-    # entry slot instead, and a stretch of few long measures one reduceat.
-    parts, at = [], 0
-    for long, group in groupby(blocks, lambda b: axis == 1 and b[0] > b[1]):
-        group = list(group)
-        if long:
-            n = np.repeat([size for size, _ in group], [count for _, count in group])
-            parts.append(ufunc.reduceat(a[:, at:at + n.sum()], np.cumsum(n) - n, axis=1))
-            at += n.sum()
-            continue
-        for size, count in group:
-            part = a[at:at + size * count] if axis == 0 else a[:, at:at + size * count]
-            at += size * count
-            if axis == 0:
-                parts.append(ufunc.reduce(part.reshape(count, size, -1), axis=1))
-                continue
-            acc = part[:, ::size]
-            for t in range(1, size):
-                acc = ufunc(acc, part[:, t::size])
-            parts.append(acc)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-
-
-def _witness_kernel(w1, d1, blocks1, w2, a2, blocks2):
+def _witness_kernel(w1, d1, starts1, w2, a2, starts2):
     """Transport values of one tile, shape (row measures, column measures).
 
     The row measures' weights ``w1`` and ground rows ``d1`` (rows of the
     distance matrix) and the column measures' weights ``w2`` and atoms
-    ``a2`` stand one measure after another, in ``blocks1`` and ``blocks2``
-    of equal support size (see :func:`_blocks`).
+    ``a2`` stand one measure after another; measure m of each side starts
+    at entry ``starts1[m]`` or ``starts2[m]``.
     """
     # g = wk - wj is the scalar loop's own subtraction, and |g| is exactly
     # wk - wj where g >= 0 and exactly wj - wk where g <= 0 (a tie gives
@@ -236,22 +204,23 @@ def _witness_kernel(w1, d1, blocks1, w2, a2, blocks2):
     ge, le = g >= 0, g <= 0
     c = np.abs(g, out=g)
     c += d1.take(a2, axis=1)
-    rows = _per_measure(np.minimum, np.where(ge, c, math.inf), blocks2, 1)
-    rows = _per_measure(np.maximum, rows, blocks1, 0)
-    cols = _per_measure(np.minimum, np.where(le, c, math.inf), blocks1, 0)
-    cols = _per_measure(np.maximum, cols, blocks2, 1)
+    rows = np.minimum.reduceat(np.where(ge, c, math.inf), starts2, axis=1)
+    rows = np.maximum.reduceat(rows, starts1, axis=0)
+    cols = np.minimum.reduceat(np.where(le, c, math.inf), starts1, axis=0)
+    cols = np.maximum.reduceat(cols, starts2, axis=1)
     return np.maximum(rows, cols)
 
 
 def _entries(sizes, off, ms):
     """Positions of the entries of measures ``ms``, one measure after
-    another, in entry arrays where measure m starts at ``off[m]``."""
+    another, in entry arrays where measure m starts at ``off[m]``; and
+    where each of ``ms`` starts in that list of positions."""
     n = sizes[ms]
     o = np.cumsum(n) - n
-    return np.arange(o[-1] + n[-1]) + np.repeat(off[ms] - o, n)
+    return np.arange(o[-1] + n[-1]) + np.repeat(off[ms] - o, n), o
 
 
-def _tiled(measures, sizes, rows, cols, loop):
+def _tiled(measures, sizes, rows, cols):
     """Transport values of the pairs (rows[p], cols[p]), sorted by row."""
     ground = measures[0].ground
     # each measure's entries by weight, heaviest first: np.where branches
@@ -264,20 +233,17 @@ def _tiled(measures, sizes, rows, cols, loop):
     off = np.cumsum(sizes) - sizes
     heads = np.array([0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1), len(rows)])
     tall = np.cumsum([0, *sizes[rows[heads[:-1]]]])
-    per_row = np.diff(heads)
     column = np.full(len(measures), -1)
     out = np.empty(len(rows))
     h = 0
     while h < len(heads) - 1:
-        # A run: row measure h, its columns (by support size), and the next
-        # rows whose columns are among them, while the run's ground rows
-        # times those columns' entries (or the ground's points, for the
-        # block of ground rows) stay within _CHUNK_CELLS.
+        # A run: row measure h, its columns, and the next rows whose
+        # columns are among them, while the run's ground rows times those
+        # columns' entries (or the ground's points, for the block of
+        # ground rows) stay within _CHUNK_CELLS.
         lo = heads[h]
         cs = np.unique(cols[lo:heads[h + 1]])
-        cs = cs[np.argsort(sizes[cs], kind="stable")]
-        n2 = sizes[cs]
-        limit = tall[h] + _CHUNK_CELLS // max(int(n2.sum()), len(ground))
+        limit = tall[h] + _CHUNK_CELLS // max(int(sizes[cs].sum()), len(ground))
         e = max(h + 1, int(np.searchsorted(tall, limit, "right")) - 1)
         column[cs] = np.arange(len(cs))
         cpos = column[cols[lo:heads[e]]]
@@ -285,29 +251,20 @@ def _tiled(measures, sizes, rows, cols, loop):
         if (cpos < 0).any():
             e = int(np.searchsorted(heads, lo + np.argmax(cpos < 0), "right")) - 1
         hi = heads[e]
-        cpos = cpos[:hi - lo]
-        run = rows[heads[h:e]]
-        by_size = np.argsort(sizes[run], kind="stable")
-        rank = np.empty(len(run), dtype=np.intp)
-        rank[by_size] = np.arange(len(run))
-        at = np.repeat(rank * len(cs), per_row[h:e]) + cpos
-        run = run[by_size]
-        i1, i2 = _entries(sizes, off, run), _entries(sizes, off, cs)
-        w1, d1, blocks1 = weights[i1], ground.dist.take(atoms[i1], axis=0), _blocks(sizes[run])
+        at = np.repeat(np.arange(e - h) * len(cs), np.diff(heads[h:e + 1])) + cpos[:hi - lo]
+        i1, starts1 = _entries(sizes, off, rows[heads[h:e]])
+        i2, starts2 = _entries(sizes, off, cs)
+        w1, d1 = weights[i1], ground.dist.take(atoms[i1], axis=0)
         # the run's tiles: its columns in chunks of at most about
         # _CHUNK_CELLS cells, one ground-row block for them all
-        ends = np.cumsum(n2)
-        q = (ends - 1) // max(1, _CHUNK_CELLS // len(i1))
+        edges = np.append(starts2, len(i2))
+        q = (edges[1:] - 1) // max(1, _CHUNK_CELLS // len(i1))
         bounds = [0, *(np.flatnonzero(q[1:] != q[:-1]) + 1).tolist(), len(cs)]
-        res = np.empty((len(run), len(cs)))
+        res = np.empty((e - h, len(cs)))
         for k0, k1 in zip(bounds, bounds[1:]):
-            a, b = ends[k0] - n2[k0], ends[k1 - 1]
-            if len(i1) * (b - a) < VECTOR_CELL_CUTOFF:
-                sel = (cpos >= k0) & (cpos < k1)
-                res.flat[at[sel]] = loop(rows[lo:hi][sel], cols[lo:hi][sel])
-            else:
-                res[:, k0:k1] = _witness_kernel(w1, d1, blocks1, weights[i2[a:b]],
-                                                atoms[i2[a:b]], _blocks(n2[k0:k1]))
+            a, b = edges[k0], edges[k1]
+            res[:, k0:k1] = _witness_kernel(w1, d1, starts1, weights[i2[a:b]],
+                                            atoms[i2[a:b]], starts2[k0:k1] - a)
         out[lo:hi] = res.ravel().take(at)
         h = e
     return out
@@ -318,15 +275,16 @@ def measure_distances(measures, rows, cols) -> np.ndarray:
     of ``rows`` and ``cols``, bit for bit, as one float array; the measures
     must share one space.
 
-    Pairs are taken by row measure.  A run of row measures gathers its
-    ground rows once and is paired with chunks of its column measures: the
-    tiles.  A tile of at least VECTOR_CELL_CUTOFF cells (ground rows x
-    column entries) goes through the numpy kernel, a smaller one through
-    the scalar loop.  Unequal ``rows`` and ``cols`` raise ValueError; no
-    pairs give an empty array.
+    One rule picks the path of a call: when the pair count times the
+    largest support squared stays below VECTOR_CELL_CUTOFF, every pair
+    takes the scalar loop.  Otherwise pairs are taken by row measure; a run
+    of row measures gathers its ground rows once and is paired with chunks
+    of its column measures, and every such tile goes through the numpy
+    kernel.  ``rows`` and ``cols`` must be 1-D integer index lists of one
+    length, each index in ``range(len(measures))``; anything else raises
+    ValueError.  No pairs give an empty array.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
+    rows, cols = np.asarray(rows), np.asarray(cols)
     if rows.ndim != 1 or rows.shape != cols.shape:
         raise ValueError("rows and cols must be index lists of one length, "
                          f"got shapes {rows.shape} and {cols.shape}")
@@ -334,19 +292,18 @@ def measure_distances(measures, rows, cols) -> np.ndarray:
         _same_space(measures[0], mu)
     if not len(rows):
         return np.empty(0)
-
-    def loop(i, j):
-        return [_witness_loop(measures[a], measures[b])
-                for a, b in zip(i.tolist(), j.tolist())]
-
+    for idx in (rows, cols):
+        if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(measures):
+            raise ValueError(f"rows and cols must hold integer indices in range({len(measures)})")
     sizes = [mu.support_size for mu in measures]
     if len(rows) * max(sizes) ** 2 < VECTOR_CELL_CUTOFF:
         # too little work to pay for tiling: every pair takes the loop
-        out = np.array(loop(rows, cols), dtype=float)
+        out = np.array([_witness_loop(measures[i], measures[j])
+                        for i, j in zip(rows.tolist(), cols.tolist())], dtype=float)
     else:
         out = np.empty(len(rows))
         order = np.argsort(rows, kind="stable") if (rows[1:] < rows[:-1]).any() else slice(None)
-        out[order] = _tiled(measures, np.array(sizes), rows[order], cols[order], loop)
+        out[order] = _tiled(measures, np.array(sizes), rows[order], cols[order])
     d = measures[0].ground.truncation_diam
     return np.where(out <= d, out, d)
 

@@ -468,6 +468,18 @@ def test_missing_file_exits_2(capsys):
     assert main(["dist", "/nonexistent.json", "m1", "m2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["dist", "m1", "m2"], ["flatten", "M"], ["eval", "m1", "--phi", "a=1,b=5"],
+    ["push", "m1", "--map", "a=b,b=b"]])
+def test_non_utf8_file_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(json.dumps(WORKED).encode().replace(b'"a"', b'"\xff"', 1))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
 def test_verify_axioms_clean(capsys):
     assert main(["verify", "axioms", "--cases", "40", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -190,8 +190,8 @@ def _grid_measure(space, size, rng):
 def _kernel(m1, m2):
     """The numpy kernel on one pair, as a one-pair tile."""
     return float(_witness_kernel(
-        np.array(m1.weights), m1.ground.dist.take(m1.atoms, axis=0), [(m1.support_size, 1)],
-        np.array(m2.weights), np.array(m2.atoms), [(m2.support_size, 1)])[0, 0])
+        np.array(m1.weights), m1.ground.dist.take(m1.atoms, axis=0), [0],
+        np.array(m2.weights), np.array(m2.atoms), [0])[0, 0])
 
 
 def _min_worst_cost_over_patterns(m1, m2):
@@ -301,14 +301,15 @@ def _exact_size_measure(space, size, rng):
 @pytest.fixture
 def tiles(monkeypatch):
     """Per call through ``tiles["call"]``: the tiles the numpy kernel
-    computed, as (cells, row blocks, column blocks), and the pairs the
-    scalar loop computed."""
+    computed, as (cells, row measures' sizes, column measures' sizes), and
+    the pairs the scalar loop computed."""
     seen = {"kernel": [], "loop": 0}
     kernel, loop = transport._witness_kernel, transport._witness_loop
 
-    def counted_kernel(w1, d1, blocks1, w2, a2, blocks2):
-        seen["kernel"].append((len(w1) * len(w2), blocks1, blocks2))
-        return kernel(w1, d1, blocks1, w2, a2, blocks2)
+    def counted_kernel(w1, d1, starts1, w2, a2, starts2):
+        seen["kernel"].append((len(w1) * len(w2), np.diff([*starts1, len(w1)]).tolist(),
+                               np.diff([*starts2, len(w2)]).tolist()))
+        return kernel(w1, d1, starts1, w2, a2, starts2)
 
     def counted_loop(mu1, mu2):
         seen["loop"] += 1
@@ -331,7 +332,7 @@ def tiles(monkeypatch):
 def test_lift_matches_pairwise_measure_distance(active, tiles):
     rng = np.random.default_rng(24)
     sp = tm.gen_space(80, rng)
-    both_sides = spans_tiles = single_entries = False
+    tiled = looped = spans_tiles = single_entries = False
     with contextlib.ExitStack() as stack:
         for name in active:
             stack.enter_context(defects.inject(name))
@@ -343,7 +344,7 @@ def test_lift_matches_pairwise_measure_distance(active, tiles):
                 # pairs of 64 x 64 supports over several tiles
                 sizes = np.append(sizes, [64] * 16)
             if case == 5:
-                # too few cells for any tile to reach the cutoff
+                # too little work to tile: every fill takes the loop
                 sizes = rng.choice([1, 2, 3], size=5)
             if case == 6:
                 # 4950 pairs of 4 x 4 supports: runs of many row measures
@@ -352,7 +353,7 @@ def test_lift_matches_pairwise_measure_distance(active, tiles):
             half = len(mus) // 2
             with pytest.MonkeyPatch.context() as m:
                 if case == 7:
-                    # a small tile budget: tiles on both sides of the cutoff in one fill
+                    # a small tile budget: many tiles per run
                     m.setattr(transport, "_CHUNK_CELLS", 512)
                 base = tm.lift(sp, mus[:half])
                 calls = [tiles["call"](lambda: tm.lift(sp, mus)),
@@ -364,13 +365,14 @@ def test_lift_matches_pairwise_measure_distance(active, tiles):
                     for i in range(j):
                         expected[i, j] = expected[j, i] = measure_distance(pts[i], pts[j])
                 assert L.dist.tobytes() == expected.tobytes()
-                assert all(cells >= VECTOR_CELL_CUTOFF for cells, _, _ in kernel)
-                # each call is one fill; one with kernel tiles took no
-                # shortcut, so its loop pairs come from tiles below the cutoff
-                both_sides |= bool(kernel) and loop > 0
+                # each call is one fill, which takes the loop or the tiles,
+                # never both
+                assert not (kernel and loop)
+                tiled |= bool(kernel)
+                looped |= loop > 0
                 spans_tiles |= sum(cells for cells, _, _ in kernel) > 2 * transport._CHUNK_CELLS
-                single_entries |= any(n == 1 for _, b1, b2 in kernel for n, _ in b1 + b2)
-    assert both_sides and spans_tiles and single_entries
+                single_entries |= any(n == 1 for _, n1, n2 in kernel for n in n1 + n2)
+    assert tiled and looped and spans_tiles and single_entries
 
 
 def test_measure_distances_takes_any_pair_list():
@@ -404,6 +406,22 @@ def test_measure_distances_rejects_unequal_index_lists():
         for rows, cols in (([0, 1], [2]), ([0], [1, 2]), ([[0, 1]], [[1, 2]])):
             with pytest.raises(ValueError, match="one length"):
                 transport.measure_distances(mus, rows, cols)
+
+
+def test_measure_distances_rejects_bad_indices():
+    # small supports take the loop, large ones the tiles; no index may wrap
+    # round, be truncated or fall outside the list
+    rng = np.random.default_rng(26)
+    sp = tm.gen_space(40, rng)
+    small = [_exact_size_measure(sp, 2, rng) for _ in range(3)]
+    large = [_exact_size_measure(sp, 32, rng) for _ in range(3)]
+    for mus in (small, large):
+        for rows, cols in (([0], [-1]), ([-3], [1]), ([0], [3]), ([3, 0], [1, 2]),
+                           ([0.7], [1.9]), ([0, 1], [1.0, 2.0]), ([True], [False])):
+            with pytest.raises(ValueError, match=r"integer indices in range\(3\)"):
+                transport.measure_distances(mus, rows, cols)
+    with pytest.raises(ValueError, match=r"integer indices in range\(0\)"):
+        transport.measure_distances([], [0], [0])
 
 
 def test_measure_distances_of_no_pairs_is_empty():
