@@ -33,8 +33,8 @@ _PATCHES = {
     ),
     "skip-truncation": (
         (transport.measure_distance, "return h if h <= d else d", "return h"),
-        (transport.measure_distances, "return np.where(out <= d, out, d)",
-         "return out"),
+        (transport.measure_distances, "return np.where(dmat <= d, dmat, d)",
+         "return dmat"),
     ),
     "skip-column-witnesses": (
         (transport._witness_loop, "return max(rows, cols)", "return rows"),

@@ -175,17 +175,15 @@ def evaluate(mu: IdempotentMeasure, phi: FunctionOnSpace) -> float:
     return max(w + vals[a] for a, w in zip(mu.atoms, mu.weights))
 
 
-def pushforward(mapping, mu: IdempotentMeasure,
-                codomain: FiniteMetricSpace | None = None) -> IdempotentMeasure:
-    """Image measure under a point map; weights merge by max.
+def pushforward(mapping, mu: IdempotentMeasure) -> IdempotentMeasure:
+    """Image measure under a self-map of ``mu``'s space; weights merge by
+    max.
 
     ``mapping`` is a dict keyed by atom index or label (values likewise),
     or a callable on atom indices.  It must be defined on every support
     point.  The result stays normalized because the maximal entry maps
     somewhere.
     """
-    if codomain is None:
-        codomain = mu.ground
     out = []
     for a, w in zip(mu.atoms, mu.weights):
         if callable(mapping):
@@ -199,8 +197,8 @@ def pushforward(mapping, mu: IdempotentMeasure,
                 raise ValueError(
                     f"mapping undefined for support point {mu.ground.labels[a]!r}"
                 )
-        out.append((_resolve_atom(codomain, target), w))
-    return make_measure(codomain, out)
+        out.append((_resolve_atom(mu.ground, target), w))
+    return make_measure(mu.ground, out)
 
 
 def measures_close(a: IdempotentMeasure, b: IdempotentMeasure, tol: float = 1e-9) -> bool:

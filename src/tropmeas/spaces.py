@@ -23,7 +23,7 @@ builder: it skips measures that are already points and computes the
 metric only for pairs with a new point, all in one call of
 :func:`tropmeas.transport.measure_distances`, whose tiled kernel gives
 each distance bit for bit as :func:`~tropmeas.transport.measure_distance`;
-the builder hands it the pairs row by row, the order its tiles take.
+the builder hands it the points and the known matrix of the old ones.
 The builder defers that call to the first read of the space's ``dist``;
 ``lift`` and ``lift_extend`` make that read before they return, so their
 spaces come with every distance computed.  The CLI's document parser
@@ -270,17 +270,7 @@ def _build(ground: FiniteMetricSpace, measures, base=None):
     def fill():
         from .transport import measure_distances
 
-        dmat = np.zeros((n, n))
-        if old:
-            dmat[:old, :old] = base.dist
-        # every pair (i, j) with i < j and j new, row by row, the order the
-        # kernel tiles them in: row i holds columns first[i]..n-1
-        first = np.maximum(np.arange(1, n + 1), old)
-        count = n - first
-        rows = np.repeat(np.arange(n), count)
-        cols = np.arange(len(rows)) + np.repeat(first - np.cumsum(count) + count, count)
-        dmat[rows, cols] = dmat[cols, rows] = measure_distances(pts, rows, cols)
-        return dmat
+        return measure_distances(pts, base.dist if old else None)
 
     space = FiniteMetricSpace.__new__(FiniteMetricSpace)
     space._set_points(tuple(f"mu{i}" for i in range(n)), ground.truncation_diam,

@@ -28,14 +28,16 @@ Witness sets are never empty because normalization gives both measures a
 weight-0 atom.
 
 This is evaluated by one numpy kernel or one scalar double loop.
-:func:`measure_distances` takes many pairs at once, and one rule picks
-the path of a call: when its pair count times its largest support
-squared stays below ``VECTOR_CELL_CUTOFF``, every pair takes the loop,
-and otherwise every pair goes through the kernel, in tiles.  Pairs are
-taken by row measure; a run of row measures gathers its ground rows
-(rows of the distance matrix) once, as one block, and is paired with
-chunks of the column measures it meets, their weights and atoms
-concatenated along the contiguous axis.  The kernel masks the costs
+:func:`measure_distances` fills the distance matrix of a list of
+measures, copying a known block of its first measures, and one rule
+picks the path of a call: when its count of new pairs times its largest
+support squared stays below ``VECTOR_CELL_CUTOFF``, every pair takes the
+loop, and otherwise every pair goes through the kernel, in tiles.  Row i
+holds the columns from max(i + 1, known) on, a suffix of the list, so a
+run of row measures is paired with its first row's columns; it gathers
+its ground rows (rows of the distance matrix) once, as one block, and
+takes the columns in chunks, each side's weights and atoms a slice of
+one entry array.  The kernel masks the costs
 ``|w2[k] - w1[j]| + d(x1[j], x2[k])`` of a tile by weight dominance and
 reduces them by segments, one ``reduceat`` a step: a minimum over each
 row's entries of a column measure, a maximum over each row measure's
@@ -77,11 +79,11 @@ ORACLE_CELL_LIMIT = 20
 #: Work below which the scalar loop beats the numpy kernel: a pair of
 #: fewer cells (support sizes multiplied) takes the loop in
 #: bottleneck_distance, and so does every pair of a measure_distances call
-#: whose pair count times its largest support squared stays below it.
+#: whose count of new pairs times its largest support squared stays below it.
 #: Loop/kernel time ratios, best of 15 on a 2-vCPU Xeon VM (Python 3.11,
 #: numpy 2.4): one pair in bottleneck_distance 0.66x at 8x8, 1.6x at
 #: 16x16, 2.5x at 24x24, 3.6x at 32x32, 7x at 256x256; a whole
-#: measure_distances call of one row measure against k others, at 256
+#: measure_distances call of k pairs, one measure against k others, at 256
 #: cells 0.39x (1 of 16x16), 0.48x (4 of 8x8), 0.67x (16 of 4x4), 1.0x
 #: (64 of 2x2), at 1024 cells 1.0x (4 of 16x16), 1.3x (16 of 8x8), 1.5x
 #: (64 of 4x4).  Tiling costs a call about 100 us, so a call breaks even
@@ -211,101 +213,87 @@ def _witness_kernel(w1, d1, starts1, w2, a2, starts2):
     return np.maximum(rows, cols)
 
 
-def _entries(sizes, off, ms):
-    """Positions of the entries of measures ``ms``, one measure after
-    another, in entry arrays where measure m starts at ``off[m]``; and
-    where each of ``ms`` starts in that list of positions."""
-    n = sizes[ms]
-    o = np.cumsum(n) - n
-    return np.arange(o[-1] + n[-1]) + np.repeat(off[ms] - o, n), o
-
-
-def _tiled(measures, sizes, rows, cols):
-    """Transport values of the pairs (rows[p], cols[p]), sorted by row."""
+def _tiled(measures, old, dmat):
+    """Write into ``dmat`` the transport values of the pairs (i, j), i < j
+    and j >= old, above the diagonal; a tile of several row measures also
+    writes on and below it."""
     ground = measures[0].ground
+    n = len(measures)
+    sizes = [mu.support_size for mu in measures]
     # each measure's entries by weight, heaviest first: np.where branches
     # per cell, and so a tile row's dominance masks change only once per
     # column measure
     weights = np.array([w for mu in measures for w in mu.weights])
     atoms = np.array([a for mu in measures for a in mu.atoms])
-    by_weight = np.lexsort((-weights, np.repeat(np.arange(len(measures)), sizes)))
+    by_weight = np.lexsort((-weights, np.repeat(np.arange(n), sizes)))
     weights, atoms = weights[by_weight], atoms[by_weight]
-    off = np.cumsum(sizes) - sizes
-    heads = np.array([0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1), len(rows)])
-    tall = np.cumsum([0, *sizes[rows[heads[:-1]]]])
-    column = np.full(len(measures), -1)
-    out = np.empty(len(rows))
+    # measure m's entries are weights[off[m]:off[m + 1]], and so are a run's
+    off = np.cumsum([0, *sizes])
     h = 0
-    while h < len(heads) - 1:
-        # A run: row measure h, its columns, and the next rows whose
-        # columns are among them, while the run's ground rows times those
-        # columns' entries (or the ground's points, for the block of
-        # ground rows) stay within _CHUNK_CELLS.
-        lo = heads[h]
-        cs = np.unique(cols[lo:heads[h + 1]])
-        limit = tall[h] + _CHUNK_CELLS // max(int(sizes[cs].sum()), len(ground))
-        e = max(h + 1, int(np.searchsorted(tall, limit, "right")) - 1)
-        column[cs] = np.arange(len(cs))
-        cpos = column[cols[lo:heads[e]]]
-        column[cs] = -1
-        if (cpos < 0).any():
-            e = int(np.searchsorted(heads, lo + np.argmax(cpos < 0), "right")) - 1
-        hi = heads[e]
-        at = np.repeat(np.arange(e - h) * len(cs), np.diff(heads[h:e + 1])) + cpos[:hi - lo]
-        i1, starts1 = _entries(sizes, off, rows[heads[h:e]])
-        i2, starts2 = _entries(sizes, off, cs)
-        w1, d1 = weights[i1], ground.dist.take(atoms[i1], axis=0)
+    while h < n - 1:
+        # A run: row measure h, its columns first..n-1, which hold the
+        # columns of every later row, and the next rows, while the run's
+        # entries times those columns' entries (or the ground's points, for
+        # the block of ground rows) stay within _CHUNK_CELLS.
+        first = max(h + 1, old)
+        limit = off[h] + _CHUNK_CELLS // max(int(off[n] - off[first]), len(ground))
+        e = max(h + 1, int(np.searchsorted(off[:-1], limit, "right")) - 1)
+        w1, d1 = weights[off[h]:off[e]], ground.dist.take(atoms[off[h]:off[e]], axis=0)
         # the run's tiles: its columns in chunks of at most about
         # _CHUNK_CELLS cells, one ground-row block for them all
-        edges = np.append(starts2, len(i2))
-        q = (edges[1:] - 1) // max(1, _CHUNK_CELLS // len(i1))
-        bounds = [0, *(np.flatnonzero(q[1:] != q[:-1]) + 1).tolist(), len(cs)]
-        res = np.empty((e - h, len(cs)))
+        q = (off[first + 1:] - off[first] - 1) // max(1, _CHUNK_CELLS // len(w1))
+        bounds = [first, *(np.flatnonzero(q[1:] != q[:-1]) + first + 1).tolist(), n]
         for k0, k1 in zip(bounds, bounds[1:]):
-            a, b = edges[k0], edges[k1]
-            res[:, k0:k1] = _witness_kernel(w1, d1, starts1, weights[i2[a:b]],
-                                            atoms[i2[a:b]], starts2[k0:k1] - a)
-        out[lo:hi] = res.ravel().take(at)
+            a, b = off[k0], off[k1]
+            dmat[h:e, k0:k1] = _witness_kernel(w1, d1, off[h:e] - off[h], weights[a:b],
+                                               atoms[a:b], off[k0:k1] - a)
         h = e
-    return out
 
 
-def measure_distances(measures, rows, cols) -> np.ndarray:
-    """``measure_distance(measures[i], measures[j])`` for every pair (i, j)
-    of ``rows`` and ``cols``, bit for bit, as one float array; the measures
-    must share one space.
+def measure_distances(measures, known=None) -> np.ndarray:
+    """The matrix of ``measure_distance`` between every two of
+    ``measures``, bit for bit; the measures must share one space.
+    ``known``, the matrix of the first ``len(known)`` measures, is copied,
+    not recomputed; a ``known`` that is not square, or larger than the
+    list, raises ValueError.
 
-    One rule picks the path of a call: when the pair count times the
-    largest support squared stays below VECTOR_CELL_CUTOFF, every pair
-    takes the scalar loop.  Otherwise pairs are taken by row measure; a run
-    of row measures gathers its ground rows once and is paired with chunks
-    of its column measures, and every such tile goes through the numpy
-    kernel.  ``rows`` and ``cols`` must be 1-D integer index lists of one
-    length, each index in ``range(len(measures))``; anything else raises
-    ValueError.  No pairs give an empty array.
+    One rule picks the path of a call: when the count of new pairs (those
+    with a measure past ``known``) times the largest support squared stays
+    below VECTOR_CELL_CUTOFF, every pair takes the scalar loop.  Otherwise
+    pairs are taken by row measure; a run of row measures gathers its
+    ground rows once and is paired with chunks of its column measures, and
+    every such tile goes through the numpy kernel.  Either way a pair
+    (i, j) is computed with i < j as the row side, and the matrix is
+    mirrored once at the end.
     """
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    if rows.ndim != 1 or rows.shape != cols.shape:
-        raise ValueError("rows and cols must be index lists of one length, "
-                         f"got shapes {rows.shape} and {cols.shape}")
+    n, old = len(measures), 0 if known is None else len(known)
+    if known is not None and (np.shape(known) != (old, old) or old > n):
+        raise ValueError(f"known must be a square matrix of at most {n} measures, "
+                         f"got shape {np.shape(known)}")
     for mu in measures:
         _same_space(measures[0], mu)
-    if not len(rows):
-        return np.empty(0)
-    for idx in (rows, cols):
-        if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(measures):
-            raise ValueError(f"rows and cols must hold integer indices in range({len(measures)})")
-    sizes = [mu.support_size for mu in measures]
-    if len(rows) * max(sizes) ** 2 < VECTOR_CELL_CUTOFF:
+    dmat = np.zeros((n, n))
+    if not n:
+        return dmat
+    if old:
+        dmat[:old, :old] = known
+    pairs = n * (n - 1) // 2 - old * (old - 1) // 2
+    if pairs * max(mu.support_size for mu in measures) ** 2 < VECTOR_CELL_CUTOFF:
         # too little work to pay for tiling: every pair takes the loop
-        out = np.array([_witness_loop(measures[i], measures[j])
-                        for i, j in zip(rows.tolist(), cols.tolist())], dtype=float)
+        for j in range(old, n):
+            for i in range(j):
+                dmat[i, j] = _witness_loop(measures[i], measures[j])
     else:
-        out = np.empty(len(rows))
-        order = np.argsort(rows, kind="stable") if (rows[1:] < rows[:-1]).any() else slice(None)
-        out[order] = _tiled(measures, np.array(sizes), rows[order], cols[order])
+        _tiled(measures, old, dmat)
+    # a tile of several row measures also wrote below the diagonal, where
+    # the new rows take the mirror of their pairs, and on it, where the
+    # value of a measure against itself is 0 (each witness minimum is that
+    # of an atom against itself)
+    low = np.tri(n, k=-1, dtype=bool)
+    low[:old] = False
+    dmat[low] = dmat.T[low]
     d = measures[0].ground.truncation_diam
-    return np.where(out <= d, out, d)
+    return np.where(dmat <= d, dmat, d)
 
 
 def bottleneck_distance_bruteforce(mu1: IdempotentMeasure,

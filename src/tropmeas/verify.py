@@ -331,7 +331,7 @@ def _campaign(check: str, cases: int, seed, tol: float, space, case) -> LemmaRep
         raise ValueError("tol must not be NaN")
     rng = _as_rng(seed)
     report = LemmaReport(check, cases, tol,
-                         seed if isinstance(seed, (int, np.integer)) else None)
+                         int(seed) if isinstance(seed, (int, np.integer)) else None)
     for i in range(cases):
         ground = space if fixed else gen_space(
             rng.integers(3, 7) if space is None else space, rng)

@@ -375,9 +375,9 @@ def test_lift_matches_pairwise_measure_distance(active, tiles):
     assert tiled and looped and spans_tiles and single_entries
 
 
-def test_measure_distances_takes_any_pair_list():
-    # unsorted pairs, i > j, repeats and diagonal pairs, supports 1..256
-    # in one call, weights on a grid so that they tie, and a lifted ground
+def test_measure_distances_fills_the_matrix_and_copies_known():
+    # supports 1..256 in one call, weights on a grid so that they tie, a
+    # lifted ground, and a known block of any size, copied as it is
     rng = np.random.default_rng(25)
     big = tm.gen_space(300, rng)
     small = tm.gen_space(12, rng)
@@ -389,46 +389,81 @@ def test_measure_distances_takes_any_pair_list():
         sizes = [1, top, *np.rint(np.exp(rng.uniform(0, np.log(top), size=8))).astype(int)]
         make = _grid_measure if case % 2 else _exact_size_measure
         mus = [make(ground, int(n), rng) for n in rng.permutation(sizes)]
-        pairs = rng.integers(len(mus), size=(int(rng.integers(1, 60)), 2))
-        pairs = np.concatenate([pairs, pairs[:3], [[0, 0], [4, 4], [1, 0]]])
-        got = transport.measure_distances(mus, pairs[:, 0], pairs[:, 1])
-        assert got.dtype == float and got.shape == (len(pairs),)
-        assert [v.hex() for v in got.tolist()] == [
-            measure_distance(mus[i], mus[j]).hex() for i, j in pairs.tolist()]
+        expected = np.zeros((len(mus), len(mus)))
+        for j in range(len(mus)):
+            for i in range(j):
+                expected[i, j] = expected[j, i] = measure_distance(mus[i], mus[j])
+        old = int(rng.integers(0, len(mus) + 1)) if case % 3 else 0
+        # any values within the diameter, not even symmetric: they are
+        # copied, not recomputed
+        known = rng.uniform(0, ground.truncation_diam, size=(old, old))
+        expected[:old, :old] = known
+        got = transport.measure_distances(mus, known if case % 3 else None)
+        assert got.dtype == float and got.tobytes() == expected.tobytes()
 
 
-def test_measure_distances_rejects_unequal_index_lists():
-    rng = np.random.default_rng(26)
-    sp = tm.gen_space(40, rng)
-    small = [_exact_size_measure(sp, 2, rng) for _ in range(3)]
-    large = [_exact_size_measure(sp, 32, rng) for _ in range(3)]
-    for mus in (small, large):
-        for rows, cols in (([0, 1], [2]), ([0], [1, 2]), ([[0, 1]], [[1, 2]])):
-            with pytest.raises(ValueError, match="one length"):
-                transport.measure_distances(mus, rows, cols)
-
-
-def test_measure_distances_rejects_bad_indices():
-    # small supports take the loop, large ones the tiles; no index may wrap
-    # round, be truncated or fall outside the list
-    rng = np.random.default_rng(26)
-    sp = tm.gen_space(40, rng)
-    small = [_exact_size_measure(sp, 2, rng) for _ in range(3)]
-    large = [_exact_size_measure(sp, 32, rng) for _ in range(3)]
-    for mus in (small, large):
-        for rows, cols in (([0], [-1]), ([-3], [1]), ([0], [3]), ([3, 0], [1, 2]),
-                           ([0.7], [1.9]), ([0, 1], [1.0, 2.0]), ([True], [False])):
-            with pytest.raises(ValueError, match=r"integer indices in range\(3\)"):
-                transport.measure_distances(mus, rows, cols)
-    with pytest.raises(ValueError, match=r"integer indices in range\(0\)"):
-        transport.measure_distances([], [0], [0])
+def test_measure_distances_rejects_a_bad_known():
+    sp = tm.gen_space(5, np.random.default_rng(26))
+    mus = [tm.dirac(sp, i) for i in range(3)]
+    for known in ([[0.0, 1.0]], np.zeros(2), np.zeros((2, 3)), np.zeros((4, 4))):
+        with pytest.raises(ValueError, match="known must be a square matrix"):
+            transport.measure_distances(mus, known)
+    with pytest.raises(ValueError, match="known must be a square matrix"):
+        transport.measure_distances([], [[0.0]])
 
 
 def test_measure_distances_of_no_pairs_is_empty():
+    # one measure has no pair, and no measure gives an empty matrix
     sp = tm.gen_space(5, np.random.default_rng(27))
-    for mus in ([], [tm.dirac(sp, 0), tm.dirac(sp, 1)]):
-        got = transport.measure_distances(mus, [], [])
-        assert got.dtype == float and got.shape == (0,)
+    for mus, known in (([], None), ([], np.zeros((0, 0))), ([tm.dirac(sp, 1)], None),
+                       ([tm.dirac(sp, 1)], [[0.0]])):
+        got = transport.measure_distances(mus, known)
+        assert got.dtype == float and got.tolist() == [[0.0]] * len(mus)
+        assert got.shape == (len(mus), len(mus))
+
+
+def test_lifted_finite_sets_are_at_their_hausdorff_distance(tiles):
+    # A measure with weight 0 on every atom is the finite set A of its
+    # atoms; every pair dominates, so the metric is min(diam, Hausdorff),
+    # here from plain numpy, sharing no code with the witness kernel.
+    # Small sets on 2-8 points take the loop; sets of 16-63 of 64 points
+    # take the kernel, with a tile budget of 256 cells that splits a run's
+    # columns into many tiles.
+    rng = np.random.default_rng(30)
+
+    def check(sp, sizes):
+        sets = [tm.make_measure(sp, [(int(a), 0.0) for a in
+                                     rng.choice(len(sp), size=int(k), replace=False)])
+                for k in sizes]
+        half = len(sets) // 2
+        base = tm.lift(sp, sets[:half])
+        calls = [tiles["call"](lambda: tm.lift(sp, sets)),
+                 tiles["call"](lambda: tm.lift_extend(base, sets[half:]))]
+        for L, kernel, loop in calls:
+            expected = np.zeros((len(L), len(L)))
+            for i, a in enumerate(L.points):
+                for j, b in enumerate(L.points):
+                    d = sp.dist[np.ix_(a.atoms, b.atoms)]
+                    h = max(d.min(axis=1).max(), d.min(axis=0).max())
+                    expected[i, j] = min(sp.truncation_diam, h)
+            assert L.dist.tobytes() == expected.tobytes()
+            yield len(L), kernel, loop
+
+    looped = 0
+    for _ in range(60):
+        sp = tm.gen_space(int(rng.integers(2, 9)), rng)
+        sizes = rng.integers(1, min(len(sp), 3) + 1, size=int(rng.integers(2, 6)))
+        for _, kernel, loop in check(sp, sizes):
+            assert not kernel
+            looped += loop
+    assert looped > 200
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(transport, "_CHUNK_CELLS", 256)
+        sp = tm.gen_space(64, rng)
+        for _ in range(3):
+            for n, kernel, loop in check(sp, rng.integers(16, 64, size=10)):
+                # more tiles than the at most n - 1 runs
+                assert len(kernel) > n - 1 and not loop
 
 
 def test_threshold_search_matches_tiled_lifts_bitwise():

@@ -356,6 +356,14 @@ def test_axioms_failures_come_in_case_and_check_order():
             (i, check) for i in range(3) for check in AXIOM_CHECKS]
 
 
+def test_a_numpy_integer_seed_is_reported_as_an_int():
+    # the report must serialize: json rejects numpy integers
+    report = run_oracle_equivalence(cases=2, seed=np.int64(3))
+    assert type(report.seed) is int
+    assert json.loads(json.dumps(report.to_dict())) == run_oracle_equivalence(
+        cases=2, seed=3).to_dict()
+
+
 def test_oracle_campaign_small():
     report = run_oracle_equivalence(cases=80, seed=5)
     assert report.passed
