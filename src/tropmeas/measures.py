@@ -14,9 +14,8 @@ and measures over lifted spaces of measures.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-
-from .spaces import FiniteMetricSpace
 
 __all__ = [
     "IdempotentMeasure",
@@ -53,7 +52,7 @@ class IdempotentMeasure:
     atom indices, the same weight floats.
     """
 
-    ground: FiniteMetricSpace
+    ground: "FiniteMetricSpace"
     atoms: tuple[int, ...]
     weights: tuple[float, ...]
 
@@ -75,7 +74,7 @@ class IdempotentMeasure:
 class FunctionOnSpace:
     """A real-valued function given by its values on every point."""
 
-    space: FiniteMetricSpace
+    space: "FiniteMetricSpace"
     values: tuple[float, ...]
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ class FunctionOnSpace:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_mapping(cls, space: FiniteMetricSpace, mapping) -> "FunctionOnSpace":
+    def from_mapping(cls, space: "FiniteMetricSpace", mapping) -> "FunctionOnSpace":
         missing = [lab for lab in space.labels if lab not in mapping]
         if missing:
             raise ValueError(f"missing function values for points {missing}")
@@ -106,16 +105,18 @@ def pointwise_max(f: FunctionOnSpace, g: FunctionOnSpace) -> FunctionOnSpace:
     return FunctionOnSpace(f.space, tuple(max(a, b) for a, b in zip(f.values, g.values)))
 
 
-def _resolve_atom(space: FiniteMetricSpace, atom) -> int:
+def _resolve_atom(space: "FiniteMetricSpace", atom) -> int:
     if isinstance(atom, str):
         return space.index(atom)
-    idx = int(atom)
+    if isinstance(atom, bool) or not hasattr(atom, "__index__"):  # a bool is no index
+        raise ValueError(f"atom {atom!r} is neither a point label nor an integer index")
+    idx = operator.index(atom)
     if not 0 <= idx < len(space):
         raise ValueError(f"atom index {idx} out of range for {len(space)} points")
     return idx
 
 
-def make_measure(ground: FiniteMetricSpace, entries) -> IdempotentMeasure:
+def make_measure(ground: "FiniteMetricSpace", entries) -> IdempotentMeasure:
     """Validate and canonicalize entries into a measure.
 
     Duplicate atoms merge by max.  A maximum weight within SNAP_TOL of 0
@@ -150,7 +151,7 @@ def make_measure(ground: FiniteMetricSpace, entries) -> IdempotentMeasure:
     return IdempotentMeasure(ground, atoms, weights)
 
 
-def renormalize(ground: FiniteMetricSpace, entries) -> IdempotentMeasure:
+def renormalize(ground: "FiniteMetricSpace", entries) -> IdempotentMeasure:
     """Shift all weights by minus their maximum, then validate."""
     entries = [(atom, float(w)) for atom, w in entries]
     if not entries:
@@ -162,7 +163,7 @@ def renormalize(ground: FiniteMetricSpace, entries) -> IdempotentMeasure:
     return make_measure(ground, [(atom, w - top) for atom, w in entries])
 
 
-def dirac(ground: FiniteMetricSpace, x) -> IdempotentMeasure:
+def dirac(ground: "FiniteMetricSpace", x) -> IdempotentMeasure:
     """The measure evaluating phi to phi(x): single atom at x, weight 0."""
     return make_measure(ground, [(x, 0.0)])
 
@@ -188,16 +189,15 @@ def pushforward(mapping, mu: IdempotentMeasure) -> IdempotentMeasure:
     for a, w in zip(mu.atoms, mu.weights):
         if callable(mapping):
             target = mapping(a)
+        elif a in mapping:
+            target = mapping[a]
+        elif mu.ground.labels[a] in mapping:
+            target = mapping[mu.ground.labels[a]]
         else:
-            if a in mapping:
-                target = mapping[a]
-            elif mu.ground.labels[a] in mapping:
-                target = mapping[mu.ground.labels[a]]
-            else:
-                raise ValueError(
-                    f"mapping undefined for support point {mu.ground.labels[a]!r}"
-                )
-        out.append((_resolve_atom(mu.ground, target), w))
+            raise ValueError(
+                f"mapping undefined for support point {mu.ground.labels[a]!r}"
+            )
+        out.append((target, w))
     return make_measure(mu.ground, out)
 
 

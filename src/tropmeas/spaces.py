@@ -24,11 +24,12 @@ metric only for pairs with a new point, all in one call of
 :func:`tropmeas.transport.measure_distances`, whose tiled kernel gives
 each distance bit for bit as :func:`~tropmeas.transport.measure_distance`;
 the builder hands it the points and the known matrix of the old ones.
-The builder defers that call to the first read of the space's ``dist``;
-``lift`` and ``lift_extend`` make that read before they return, so their
-spaces come with every distance computed.  The CLI's document parser
-calls the builder directly, so a command computes a lifted level's
-distances only when it measures at the level above.  :func:`_restrict`
+The builder defers that call to the first read of the space's ``dist``,
+a cached property like ``_rows`` and ``_index``; ``lift`` and
+``lift_extend`` make that read before they return, so their spaces come
+with every distance computed.  The CLI's document parser calls the
+builder directly, so a command computes a lifted level's distances only
+when it measures at the level above.  :func:`_restrict`
 rebuilds the tower under a few measures with only the points they reach,
 so the CLI's ``dist`` computes only the distances among those.  The
 builder also checks that every measure lies on the one ground space.
@@ -41,12 +42,12 @@ measure the space was not built from in that call.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-# measures imports this module, so this binds it half loaded; its names
-# are read at call time
-from . import measures as _measures
+from . import transport
+from .measures import SpaceMismatchError, make_measure, measures_close
 
 __all__ = [
     "FiniteMetricSpace",
@@ -85,15 +86,13 @@ class FiniteMetricSpace:
     an unchecked space for later inspection with :func:`validate`.
     Lifted spaces (``level >= 1``) come from :func:`lift`,
     :func:`lift_extend`, the CLI's document parser and :func:`_restrict`.
-    They carry their points as measures, are not validated because their
-    distances are computed, not user input, and compute their distance
-    matrix on the first read of ``dist``, once; a fill that raises is not
-    kept, and the next read starts again.  Either way ``dist`` is
-    read-only.
+    They carry their points as measures and are not validated: their
+    distances are computed, not user input.  Three views are cached
+    properties, computed on first read: a lifted space's ``dist`` (a fill
+    that raises is not kept, and the next read starts again), ``_rows``,
+    the plain-float rows of ``dist`` for scalar lookups, and ``_index``,
+    from label to point.  ``dist`` is read-only on every space.
     """
-
-    __slots__ = ("labels", "dist", "truncation_diam", "level", "points", "_rows", "_index",
-                 "_by_atoms", "_fill")
 
     def __init__(self, labels, dist, *, check=True):
         labels = tuple(labels)
@@ -107,38 +106,29 @@ class FiniteMetricSpace:
             raise InvalidSpaceError(
                 f"distance matrix must be {n}x{n}, got shape {d.shape}"
             )
-        self._set_points(labels, float(d.max()), 0, None, None)
-        self._set_dist(d)
+        d.setflags(write=False)
+        self.labels, self.dist, self.level, self.points = labels, d, 0, None
+        self.truncation_diam = float(d.max())
         if check:
             v = validate(self)
             if v is not None:
                 raise InvalidSpaceError(v.message)
 
-    def _set_points(self, labels, truncation_diam, level, points, by_atoms):
-        self.labels = labels
-        self.truncation_diam = truncation_diam
-        self.level = int(level)
-        self.points = points
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        # lifted spaces: the indices of the points on each support, in order
-        self._by_atoms = by_atoms
-
-    def _set_dist(self, d):
+    @cached_property
+    def dist(self):
+        # only a space from _build gets here; the others set ``dist``
+        d = self._fill()
         d.setflags(write=False)
-        # Plain-float rows for hot scalar lookups.
-        self._rows = d.tolist()
-        self.dist = d
-
-    def __getattr__(self, name):
-        # Called only for an unset slot, so a space whose matrix is set
-        # pays nothing per read.  A space from _build leaves ``dist`` and
-        # ``_rows`` unset until one of them is read; a fill that raises
-        # sets neither, and the next read computes the whole matrix again.
-        if name not in ("dist", "_rows"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._set_dist(self._fill())
         del self._fill
-        return getattr(self, name)
+        return d
+
+    @cached_property
+    def _rows(self):
+        return self.dist.tolist()
+
+    @cached_property
+    def _index(self):
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -231,7 +221,7 @@ def _first_close(points, by_atoms, mu):
     indices ``by_atoms`` lists for ``mu``'s atoms.  A point with other
     atoms is never equal, so no other point is compared."""
     for i in by_atoms.get(mu.atoms, ()):
-        if _measures.measures_close(mu, points[i], 1e-9):
+        if measures_close(mu, points[i], 1e-9):
             return i
     return None
 
@@ -256,7 +246,7 @@ def _build(ground: FiniteMetricSpace, measures, base=None):
     where = []
     for m in measures:
         if m.ground is not ground:
-            raise _measures.SpaceMismatchError("all lifted measures must share the ground space")
+            raise SpaceMismatchError("all lifted measures must share the ground space")
         i = _first_close(pts, by_atoms, m)
         if i is None:
             i = len(pts)
@@ -267,15 +257,12 @@ def _build(ground: FiniteMetricSpace, measures, base=None):
     if n == old:
         return base, where
 
-    def fill():
-        from .transport import measure_distances
-
-        return measure_distances(pts, base.dist if old else None)
-
     space = FiniteMetricSpace.__new__(FiniteMetricSpace)
-    space._set_points(tuple(f"mu{i}" for i in range(n)), ground.truncation_diam,
-                      ground.level + 1, tuple(pts), by_atoms)
-    space._fill = fill
+    space.labels = tuple(f"mu{i}" for i in range(n))
+    space.truncation_diam, space.level = ground.truncation_diam, ground.level + 1
+    space.points = tuple(pts)
+    space._by_atoms = by_atoms  # the indices of the points on each support, in order
+    space._fill = lambda: transport.measure_distances(pts, base.dist if old else None)
     return space, where
 
 
@@ -304,7 +291,7 @@ def _restrict(measures):
     small, where = _build(inner[0].ground, inner)
     assert where == list(range(len(used))), "restricting merged points"
     new = {a: k for k, a in enumerate(used)}
-    return [_measures.make_measure(small, [(new[a], w) for a, w in m.entries()])
+    return [make_measure(small, [(new[a], w) for a, w in m.entries()])
             for m in measures]
 
 

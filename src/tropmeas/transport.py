@@ -105,9 +105,12 @@ def cost(j: int, k: int, mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> floa
     """Pair cost |w2[k] - w1[j]| + d(x1[j], x2[k]).
 
     A reference for tests and witness certificates: no defect patches it,
-    so a defect in the kernels cannot bend it too.
+    so a defect in the kernels cannot bend it too.  An entry index out of
+    range raises ValueError, as in :func:`pattern_feasible`.
     """
     _same_space(mu1, mu2)
+    if not (0 <= j < len(mu1.weights) and 0 <= k < len(mu2.weights)):
+        raise ValueError(f"pair ({j}, {k}) out of range")
     gap = abs(mu2.weights[k] - mu1.weights[j])
     return gap + mu1.ground._rows[mu1.atoms[j]][mu2.atoms[k]]
 

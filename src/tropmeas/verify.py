@@ -174,20 +174,29 @@ def _draw_entries(n: int, max_support: int, rng, min_support: int, span: float):
     return atoms, weights
 
 
+def _weight_span(space: FiniteMetricSpace, weight_span=None) -> float:
+    """The span of random weights on ``space``: ``weight_span``, which must
+    be finite and > 0, or by default twice the diameter (1.0 if that is 0)."""
+    if weight_span is None:
+        return 2.0 * space.truncation_diam if space.truncation_diam > 0 else 1.0
+    span = float(weight_span)
+    if not (math.isfinite(span) and span > 0):
+        raise ValueError(f"weight_span must be finite and > 0, got {weight_span!r}")
+    return span
+
+
 def gen_measure(space: FiniteMetricSpace, max_support: int, rng, *,
                 min_support: int = 1,
                 weight_span: float | None = None) -> IdempotentMeasure:
     """A random normalized measure: uniform support subset, weights uniform
     in [-weight_span, 0] with one entry forced to exactly 0.  The span
-    defaults to twice the diameter."""
+    defaults to twice the diameter (see :func:`_weight_span`)."""
     rng = _as_rng(rng)
     n = len(space)
     max_support = min(int(max_support), n)
     if not 1 <= min_support <= max_support:
         raise ValueError("need 1 <= min_support <= max_support <= point count")
-    span = 2.0 * space.truncation_diam if weight_span is None else float(weight_span)
-    if span <= 0:
-        span = 1.0
+    span = _weight_span(space, weight_span)
     return make_measure(space, zip(*_draw_entries(n, max_support, rng, min_support, span)))
 
 
@@ -291,7 +300,7 @@ def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng):
     n = len(ground)
     rows = ground._rows
     diam = ground.truncation_diam
-    span = 2.0 * diam if diam > 0 else 1.0
+    span = _weight_span(ground)
     eps = distance_to_diracs(mu)
     worst = math.inf
     draws = [([x], [0.0]) for x in range(n)]

@@ -52,6 +52,25 @@ def test_make_measure_rejects_empty_and_nonfinite(space):
         make_measure(space, [("a", math.nan)])
 
 
+def test_atom_indices_must_be_integers(space):
+    # floats were truncated and bools cast: (1.9, 0.0) put the top weight on b
+    for atom in (1.9, 0.5, 2.0, np.float64(1.0), True, False, np.True_, None, (1,)):
+        with pytest.raises(ValueError, match="neither a point label nor an integer index"):
+            make_measure(space, [(atom, 0.0)])
+    with pytest.raises(ValueError, match="neither a point label"):
+        dirac(space, True)
+    mu = make_measure(space, [("a", 0.0), ("c", -1.0)])
+    with pytest.raises(ValueError, match="neither a point label"):
+        tm.distance_to_dirac(mu, 2.7)
+    with pytest.raises(ValueError, match="neither a point label"):
+        pushforward({0: 1.0, 2: 0}, mu)
+    assert make_measure(space, [(np.int64(1), 0.0), (np.uint8(2), -1.0)]) == make_measure(
+        space, [("b", 0.0), ("c", -1.0)])
+    assert tm.distance_to_dirac(mu, np.int32(1)) == tm.distance_to_dirac(mu, "b")
+    with pytest.raises(ValueError, match="out of range"):
+        dirac(space, np.int64(3))
+
+
 def test_make_measure_snaps_near_zero_max(space):
     mu = make_measure(space, [("a", 5e-10), ("b", -1.0)])
     assert mu.weights == (0.0, -1.0)

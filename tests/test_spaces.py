@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from tropmeas.spaces import (
     InvalidSpaceError,
     MetricViolation,
     TRIANGLE_TOL,
+    _build,
     index_of_measure,
     lift,
     lift_extend,
@@ -265,6 +269,49 @@ def test_lift_and_lift_extend_compute_every_distance_before_returning(kernel_cal
         assert not space.dist.flags.writeable
         assert space._rows == space.dist.tolist()
     assert kernel_calls == made
+
+
+def test_cached_views_are_built_on_first_read():
+    X = FiniteMetricSpace(["a", "b", "c"], [[0, 2, 3], [2, 0, 1], [3, 1, 0]])
+    assert not X.dist.flags.writeable
+    with pytest.raises(ValueError):
+        X.dist[0, 1] = 5.0
+    assert "_rows" not in vars(X) and "_index" not in vars(X)
+    assert X.index("c") == 2 and X._index == {"a": 0, "b": 1, "c": 2}
+    rows = X._rows
+    assert rows == X.dist.tolist() and X._rows is rows
+    assert type(rows[0][1]) is float
+
+    # a kernel-only lift, on a 32-point ground, reads no plain rows
+    rng = np.random.default_rng(23)
+    G = tm.gen_space(32, rng)
+    L = lift(G, [tm.gen_measure(G, 16, rng, min_support=16) for _ in range(3)])
+    assert "_rows" not in vars(G) and "_rows" not in vars(L)
+    assert not L.dist.flags.writeable
+    with pytest.raises(ValueError):
+        L.dist[0, 1] = 5.0
+    assert L._rows == L.dist.tolist()
+
+
+def test_a_fill_runs_once_and_lets_its_base_go(kernel_calls):
+    rng = np.random.default_rng(31)
+    X = tm.gen_space(6, rng)
+    A = [tm.gen_measure(X, 3, rng) for _ in range(4)]
+    built, _ = _build(X, A)
+    assert kernel_calls == []
+    assert {"dist", "_rows", "_index"}.isdisjoint(vars(built)) and "_fill" in vars(built)
+    d = built.dist
+    assert built.dist is d and len(kernel_calls) == 1
+    assert "_fill" not in vars(built) and "_rows" not in vars(built)
+
+    base = lift(X, A)
+    ext = lift_extend(base, [tm.gen_measure(X, 3, rng) for _ in range(3)])
+    assert ext is not base and "_fill" not in vars(ext)
+    gone = weakref.ref(base)
+    del base
+    gc.collect()
+    assert gone() is None
+    assert ext.dist[:len(A), :len(A)].tobytes() == d.tobytes()
 
 
 def _near_copy(mu, rng):

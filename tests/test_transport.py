@@ -39,6 +39,16 @@ def test_cost_examples(worked):
     assert cost(0, 0, d, d) == 0.0
 
 
+@pytest.mark.parametrize("j, k", [(-1, 0), (0, -1), (2, 0), (0, 2), (-3, -3)])
+def test_cost_rejects_entries_out_of_range(worked, j, k):
+    # a negative index used to wrap round to the last entry's cost
+    _, m1, m2 = worked
+    with pytest.raises(ValueError, match=rf"pair \({j}, {k}\) out of range"):
+        cost(j, k, m1, m2)
+    with pytest.raises(ValueError, match=rf"pair \({j}, {k}\) out of range"):
+        pattern_feasible([(j, k)], m1, m2)
+
+
 def test_pattern_feasible_full_pattern_always(worked):
     _, m1, m2 = worked
     full = [(j, k) for j in range(m1.support_size) for k in range(m2.support_size)]

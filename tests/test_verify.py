@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +198,7 @@ def _gen_measure_reference(space, max_support, rng, min_support=1, weight_span=N
     size = int(rng.integers(min_support, max_support + 1))
     atoms = np.sort(rng.choice(n, size=size, replace=False))
     span = 2.0 * space.truncation_diam if weight_span is None else float(weight_span)
-    if span <= 0:
+    if weight_span is None and span == 0:
         span = 1.0
     weights = rng.uniform(-span, 0.0, size=size)
     weights[int(rng.integers(size))] = 0.0
@@ -225,7 +226,7 @@ def test_gen_measure_matches_reference():
         sp = gen_space(int(rng.integers(1, 9)), rng)
         max_support = int(rng.integers(1, 10))
         min_support = int(rng.integers(1, min(max_support, len(sp)) + 1))
-        span = (None, 0.0, -1.0, 0.5, 7.0)[case % 5]
+        span = (None, 1e-3, 1.0, 0.5, 7.0)[case % 5]
         seed = int(rng.integers(2**32))
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = gen_measure(sp, max_support, got_rng, min_support=min_support,
@@ -234,6 +235,34 @@ def test_gen_measure_matches_reference():
         assert got == ref
         assert [w.hex() for w in got.weights] == [w.hex() for w in ref.weights]
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("span", [-5, 0, 0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_gen_measure_rejects_a_bad_weight_span(span):
+    # -5 used to draw weights from [-1, 0] without a word
+    space = gen_space(4, np.random.default_rng(3))
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="weight_span must be finite and > 0"):
+        gen_measure(space, 3, rng, weight_span=span)
+    assert rng.bit_generator.state == state
+
+
+def test_default_weight_span_on_a_zero_diameter_space():
+    # the one fallback left: 1.0 where twice the diameter would be 0
+    flat = tm.FiniteMetricSpace(["a", "b", "c"], np.zeros((3, 3)), check=False)
+    assert flat.truncation_diam == 0.0
+    low = 0.0
+    for seed in range(20):
+        got = gen_measure(flat, 3, np.random.default_rng(seed), min_support=3)
+        assert got == gen_measure(flat, 3, np.random.default_rng(seed), min_support=3,
+                                  weight_span=1.0)
+        low = min(low, *got.weights)
+    assert -1.0 <= low < -0.5
+    space = gen_space(3, np.random.default_rng(3))
+    mu = gen_measure(space, 3, np.random.default_rng(9))
+    assert mu == gen_measure(space, 3, np.random.default_rng(9),
+                             weight_span=2.0 * space.truncation_diam)
 
 
 def test_check_lemma3_matches_measure_reference():
