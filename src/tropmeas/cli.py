@@ -12,19 +12,14 @@ Exit codes: 0 success, 1 usage error, 2 parse/validation error,
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 
-from .measures import (
-    FunctionOnSpace,
-    IdempotentMeasure,
-    evaluate,
-    make_measure,
-    pushforward,
-)
+from .measures import SNAP_TOL, FunctionOnSpace, IdempotentMeasure, evaluate, pushforward
 from .monad import flatten
 from .spaces import FiniteMetricSpace, _build, _restrict, validate
 from .transport import bottleneck_distance, bottleneck_distance_bruteforce
@@ -79,40 +74,20 @@ def _fmt(x: float) -> str:
 
 
 def _parse_weight(w, name: str) -> float:
-    if isinstance(w, str):
-        if w == "-inf":
-            raise DocumentError(
-                f"weight \"-inf\" in support of {name!r}: support weights must be finite"
-            )
-        raise DocumentError(f"weight {w!r} in {name!r} is not a number")
+    """The float of a JSON weight that is not a finite float, or DocumentError."""
+    if w == "-inf":
+        raise DocumentError(
+            f"weight \"-inf\" in support of {name!r}: support weights must be finite")
     if isinstance(w, bool) or not isinstance(w, (int, float)):
         raise DocumentError(f"weight {w!r} in {name!r} is not a number")
     try:
         w = float(w)
-    except OverflowError:
+    except OverflowError:  # an integer past the float range
         w = -math.inf if w < 0 else math.inf
     if not math.isfinite(w):
         raise DocumentError(
-            f"non-finite weight {w!r} in support of {name!r}: "
-            "support weights must be finite"
-        )
+            f"non-finite weight {w!r} in support of {name!r}: support weights must be finite")
     return w
-
-
-def _term_support(term, name: str) -> list:
-    if not isinstance(term, dict) or "support" not in term:
-        raise DocumentError(f"measure {name!r} must be an object with a 'support' list")
-    sup = term["support"]
-    if not isinstance(sup, list) or not sup:
-        raise DocumentError(f"measure {name!r} needs a nonempty 'support' list")
-    out = []
-    for entry in sup:
-        if not isinstance(entry, dict) or "atom" not in entry or "weight" not in entry:
-            raise DocumentError(
-                f"support entries of {name!r} must carry 'atom' and 'weight'"
-            )
-        out.append((entry["atom"], _parse_weight(entry["weight"], name)))
-    return out
 
 
 def _space_from_raw(raw) -> FiniteMetricSpace:
@@ -150,13 +125,17 @@ def _space_from_raw(raw) -> FiniteMetricSpace:
 def parse_document(text: str) -> Document:
     """Parse and fully validate a document.
 
-    All measures are constructed (and therefore normalization-checked) and
-    lifted spaces are built level by level, so measures of measures of any
-    depth share one lifted space per level.  A lifted space computes its
-    distances on their first read, so only a command that measures at the
-    level above pays for them; ``dist`` measures over a tower restricted
-    to its two measures and never reads these.  An atom string resolves to
-    a point label first and to a named measure otherwise.
+    One walk visits each term once, children before parents: it checks
+    the term's shape and each weight, resolves each atom string to a point
+    label first and a named measure otherwise, and checks the term's level
+    and normalization, so a bad term anywhere is an error.  Each level's
+    terms, named and anonymous alike, are then built in the order the walk
+    came to know them, as ``make_measure`` builds them, over one lifted
+    space per level; the builder's dedupe of the level below places each
+    atom.  A lifted space computes its distances on their first read, so
+    only a command that measures at the level above pays for them; ``dist``
+    measures over a tower restricted to its two measures and never reads
+    these.
     """
     try:
         raw = json.loads(text)
@@ -171,84 +150,94 @@ def parse_document(text: str) -> Document:
     raw_measures = raw.get("measures", {})
     if not isinstance(raw_measures, dict):
         raise DocumentError("'measures' must map names to measure terms")
-    for name in raw_measures:
-        if not isinstance(name, str):
-            raise DocumentError(f"measure name {name!r} must be a string")
 
-    labels = set(space.labels)
-    # id of a term -> (level, support, name), in the order levels are known
-    terms: dict[int, tuple] = {}
+    index = space._index
+    # levels[k]: (atoms, weights, top) of each level-(k + 1) term in the order
+    # it became known; a level-1 atom is a point, a higher one the place of a
+    # term in the level below
+    levels: list[list] = []
+    known: dict[int, tuple] = {}  # id of a term -> (its level, its place)
 
-    def term_level(term, name: str, visiting: tuple) -> int:
-        key = id(term)
-        if key in terms:
-            return terms[key][0]
-        support = _term_support(term, name)
-        atom_levels = set()
-        for atom, _ in support:
-            if isinstance(atom, dict):
-                atom_levels.add(term_level(atom, f"{name}(nested)", visiting))
-            elif isinstance(atom, str):
-                if atom in labels:
-                    atom_levels.add(0)
-                elif atom in raw_measures:
-                    if atom in visiting:
-                        cycle = " -> ".join(visiting + (atom,))
-                        raise DocumentError(f"cycle in measure references: {cycle}")
-                    atom_levels.add(
-                        term_level(raw_measures[atom], atom, visiting + (atom,))
-                    )
-                else:
-                    raise DocumentError(
-                        f"unknown atom {atom!r} in measure {name!r}: "
-                        "neither a point label nor a measure name"
-                    )
-            else:
+    def walk(term, name: str, visiting: tuple) -> tuple:
+        if not isinstance(term, dict) or "support" not in term:
+            raise DocumentError(f"measure {name!r} must be an object with a 'support' list")
+        sup = term["support"]
+        if not isinstance(sup, list) or not sup:
+            raise DocumentError(f"measure {name!r} needs a nonempty 'support' list")
+        atoms, weights, level, mixed = [], [], None, False
+        for entry in sup:
+            if not isinstance(entry, dict) or "atom" not in entry or "weight" not in entry:
                 raise DocumentError(
-                    f"atom {atom!r} in measure {name!r} must be a label, "
-                    "a measure name, or a nested term"
-                )
-        if len(atom_levels) != 1:
-            raise DocumentError(
-                f"measure {name!r} mixes atoms of different levels"
-            )
-        level = atom_levels.pop() + 1
-        terms[key] = (level, support, name)
-        return level
+                    f"support entries of {name!r} must carry 'atom' and 'weight'")
+            w = entry["weight"]
+            if type(w) is not float or not -math.inf < w < math.inf:  # else taken as is
+                w = _parse_weight(w, name)
+            atom = entry["atom"]
+            if isinstance(atom, dict):
+                lv, a = walk(atom, f"{name}(nested)", visiting)
+            elif not isinstance(atom, str):
+                raise DocumentError(f"atom {atom!r} in measure {name!r} must be a label, "
+                                    "a measure name, or a nested term")
+            elif (a := index.get(atom)) is not None:
+                lv = 0
+            elif atom not in raw_measures:
+                raise DocumentError(f"unknown atom {atom!r} in measure {name!r}: "
+                                    "neither a point label nor a measure name")
+            elif (found := known.get(id(raw_measures[atom]))) is not None:
+                lv, a = found
+            elif atom in visiting:
+                cycle = " -> ".join(visiting + (atom,))
+                raise DocumentError(f"cycle in measure references: {cycle}")
+            else:
+                lv, a = walk(raw_measures[atom], atom, visiting + (atom,))
+            if lv != level:
+                mixed, level = level is not None, lv
+            atoms.append(a)
+            weights.append(w)
+        if mixed:
+            raise DocumentError(f"measure {name!r} mixes atoms of different levels")
+        top = max(weights)
+        if abs(top) > SNAP_TOL:
+            raise DocumentError(f"invalid measure {name!r}: max weight is {top!r}, "
+                                "expected 0 (use renormalize to shift explicitly)")
+        if level == len(levels):
+            levels.append([])
+        found = known[id(term)] = (level + 1, len(levels[level]))
+        levels[level].append((atoms, weights, top))
+        return found
 
     try:
         for name, term in raw_measures.items():
-            term_level(term, name, (name,))
+            if id(term) not in known:
+                walk(term, name, (name,))
     except RecursionError:
         raise DocumentError("document nests too deeply") from None
 
-    # Build every term of one level (named and anonymous alike) before
-    # lifting the ground for the next, so each lifted space sees all its
-    # member measures at once.  The builder dedupes the members now, says
+    # Build each level before lifting the ground for the next, so a lifted
+    # space sees all its members at once; the builder dedupes them, says
     # which point each became, and leaves the distances to their first read.
-    built: dict[int, IdempotentMeasure] = {}
-    point: dict[int, int] = {}  # id of a term -> its point one level up
-    ground = space
-    max_level = max((level for level, _, _ in terms.values()), default=0)
-    for lv in range(1, max_level + 1):
-        keys = []
-        for key, (level, support, name) in terms.items():
-            if level != lv:
-                continue
-            if lv > 1:
-                support = [(point[id(raw_measures[a] if isinstance(a, str) else a)], w)
-                           for a, w in support]
-            try:
-                built[key] = make_measure(ground, support)
-            except ValueError as e:
-                raise DocumentError(f"invalid measure {name!r}: {e}") from None
-            keys.append(key)
-        if lv < max_level:
-            ground, where = _build(ground, [built[k] for k in keys])
-            point.update(zip(keys, where))
-
-    measures = {name: built[id(term)] for name, term in raw_measures.items()}
-    return Document(space, measures)
+    built = []
+    ground, where = space, None
+    for members in levels:
+        if built:
+            ground, where = _build(ground, built[-1])
+        measures = []
+        for atoms, weights, top in members:
+            if where is not None:
+                atoms = [where[k] for k in atoms]
+            merged = {}
+            for a, w in zip(atoms, weights):  # repeated points merge as in make_measure
+                if a not in merged or w > merged[a]:
+                    merged[a] = w
+            atoms = sorted(merged)
+            measures.append(IdempotentMeasure(ground, tuple(atoms), tuple([
+                0.0 if (merged[a] == top or merged[a] > 0.0) else merged[a] for a in atoms])))
+        built.append(measures)
+    named = {}
+    for name, term in raw_measures.items():
+        level, place = known[id(term)]
+        named[name] = built[level - 1][place]
+    return Document(space, named)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +428,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on a process's first command; parsing leaves it unchanged."""
     parser = _Parser(prog="tropmeas",
                      description="max-plus measures on finite metric spaces")
     sub = parser.add_subparsers(dest="command", required=True)

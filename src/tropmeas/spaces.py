@@ -190,21 +190,24 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
         )
 
     # excess[k, i, j] = d(i, j) - (d(i, k) + d(k, j)) for a chunk of k in one
-    # reused buffer; argwhere's row-major order finds the first k, i, then j
+    # reused buffer; argwhere's row-major order finds the first k, i, then j.
+    # A sum past the float range is inf, as in scalar arithmetic, and
+    # violates nothing.
     step = max(1, 2**14 // (n * n))
     buf = np.empty((min(step, n), n, n))
-    for k0 in range(0, n, step):
-        excess = buf[:min(step, n - k0)]
-        np.add(d[:, k0:k0 + step].T[:, :, None], d[k0:k0 + step, None, :], out=excess)
-        np.subtract(d, excess, out=excess)
-        if (excess > TRIANGLE_TOL).any():
-            k, i, j = np.argwhere(excess > TRIANGLE_TOL)[0]
-            k += k0
-            return MetricViolation(
-                "triangle",
-                f"triangle violation: d({labels[i]}, {labels[j]}) = {float(d[i, j])!r} "
-                f"> d via {labels[k]} = {float(d[i, k] + d[k, j])!r}",
-            )
+    with np.errstate(over="ignore"):
+        for k0 in range(0, n, step):
+            excess = buf[:min(step, n - k0)]
+            np.add(d[:, k0:k0 + step].T[:, :, None], d[k0:k0 + step, None, :], out=excess)
+            np.subtract(d, excess, out=excess)
+            if (excess > TRIANGLE_TOL).any():
+                k, i, j = np.argwhere(excess > TRIANGLE_TOL)[0]
+                k += k0
+                return MetricViolation(
+                    "triangle",
+                    f"triangle violation: d({labels[i]}, {labels[j]}) = {float(d[i, j])!r} "
+                    f"> d via {labels[k]} = {float(d[i, k] + d[k, j])!r}",
+                )
 
     if space.truncation_diam < d.max():
         return MetricViolation(

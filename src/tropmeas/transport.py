@@ -157,9 +157,10 @@ def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float
     """
     _same_space(mu1, mu2)
     if mu1.support_size * mu2.support_size >= VECTOR_CELL_CUTOFF:
-        return float(_witness_kernel(
-            np.array(mu1.weights), mu1.ground.dist.take(mu1.atoms, axis=0), [0],
-            np.array(mu2.weights), np.array(mu2.atoms), [0])[0, 0])
+        with np.errstate(over="ignore"):  # a cost past the float range is inf
+            return float(_witness_kernel(
+                np.array(mu1.weights), mu1.ground.dist.take(mu1.atoms, axis=0), [0],
+                np.array(mu2.weights), np.array(mu2.atoms), [0])[0, 0])
     return _witness_loop(mu1, mu2)
 
 
@@ -287,7 +288,8 @@ def measure_distances(measures, known=None) -> np.ndarray:
             for i in range(j):
                 dmat[i, j] = _witness_loop(measures[i], measures[j])
     else:
-        _tiled(measures, old, dmat)
+        with np.errstate(over="ignore"):  # a cost past the float range is inf
+            _tiled(measures, old, dmat)
     # a tile of several row measures also wrote below the diagonal, where
     # the new rows take the mirror of their pairs, and on it, where the
     # value of a measure against itself is 0 (each witness minimum is that
@@ -320,7 +322,8 @@ def bottleneck_distance_bruteforce(mu1: IdempotentMeasure,
             f"({ORACLE_CELL_LIMIT} cells)"
         )
     dsub = mu1.ground.dist[np.ix_(mu1.atoms, mu2.atoms)]
-    costs = (np.abs(w2[None, :] - w1[:, None]) + dsub).ravel()
+    with np.errstate(over="ignore"):  # a cost past the float range is inf
+        costs = (np.abs(w2[None, :] - w1[:, None]) + dsub).ravel()
     caps = np.minimum(w1[:, None], w2[None, :]).ravel()
 
     masks = np.arange(1, 1 << cells, dtype=np.uint32)

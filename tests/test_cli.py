@@ -1,10 +1,16 @@
+import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tropmeas as tm
-from tropmeas import transport
+from tropmeas import cli, transport
 from tropmeas.cli import (
     DocumentError,
     document_to_text,
@@ -294,6 +300,30 @@ def _seeded_cli_document(rng):
             "measures": measures}
 
 
+def _parse_dump(doc):
+    """Each named measure's level, atoms and weight bits, then the points
+    of each lifted level in order, as JSON-ready lists."""
+    def entries(mu):
+        return [list(mu.atoms), [w.hex() for w in mu.weights]]
+    return {"measures": {name: [mu.ground.level + 1, *entries(mu)]
+                         for name, mu in doc.measures.items()},
+            "levels": [[entries(p) for p in ground.points]
+                       for ground in _lifted_grounds(doc)]}
+
+
+#: sha256 of the dump below, recorded from the level-by-level parser that
+#: preceded the one-pass term walk
+PARSE_DIGEST = "874c6d7f8549e47c1f29edccfe12ac183ae065351c0c1951745a295336018f35"
+
+
+def test_parse_is_bitwise_pinned():
+    rng = np.random.default_rng(2010)
+    documents = ([_seeded_cli_document(np.random.default_rng(16))]
+                 + [_random_level3_document(rng) for _ in range(20)])
+    dump = json.dumps([_parse_dump(parse_document(json.dumps(raw))) for raw in documents])
+    assert hashlib.sha256(dump.encode()).hexdigest() == PARSE_DIGEST
+
+
 def _assert_reached_and_unmerged(measures):
     """Every point of every lifted level under ``measures`` is an atom of
     the level above, and the builder merged none of them."""
@@ -465,6 +495,67 @@ def test_usage_errors_exit_1(worked_file, capsys):
     assert main(["eval", worked_file, "m1", "--phi", "a"]) == 1
 
 
+def test_the_parser_is_built_once_and_keeps_no_state(worked_file, capsys):
+    # a fresh import builds no parser; the first command builds the one
+    # every later command in the process reuses
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import tropmeas, tropmeas.cli as c; "
+                               "print(c._build_parser.cache_info().currsize)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert fresh.stdout == "0\n"
+
+    assert main(["dist", "--oracle", worked_file, "m1", "m2"]) == 0
+    assert "H_oracle = 3" in capsys.readouterr().out
+    assert main(["dist", worked_file, "m1", "m2"]) == 0
+    assert "H_oracle" not in capsys.readouterr().out
+    assert main(["dist", worked_file, "m1"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert main(["eval", worked_file, "m1", "--phi", "a=1,b=5"]) == 0
+    assert capsys.readouterr() == ("4\n", "")
+    assert main(["verify", "axioms", "--seed", "5", "--cases", "3"]) == 0
+    assert "3 cases, seed 5," in capsys.readouterr().out
+    assert main(["verify", "axioms", "--cases", "3"]) == 0
+    assert "3 cases, seed 0," in capsys.readouterr().out
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+#: measures to add to LEVEL3_PAIRS, each set with one defect that no
+#: command below reaches, and the part of parse_document's message naming it
+DEFECTS = {
+    "unnormalized level 3": ({"bad": {"support": [{"atom": "M", "weight": -1}]}},
+                             "invalid measure 'bad': max weight is -1.0"),
+    "unknown atom at level 2": ({"bad": {"support": [{"atom": "m1", "weight": 0},
+                                                     {"atom": "zz", "weight": -1}]}},
+                                "unknown atom 'zz' in measure 'bad'"),
+    "reference cycle": ({"bad1": {"support": [{"atom": "bad2", "weight": 0}]},
+                         "bad2": {"support": [{"atom": "bad1", "weight": 0}]}},
+                        "cycle in measure references: bad1 -> bad2 -> bad1"),
+    "mixed levels": ({"bad": {"support": [{"atom": "a", "weight": 0},
+                                          {"atom": "m1", "weight": -1}]}},
+                     "measure 'bad' mixes atoms of different levels"),
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+@pytest.mark.parametrize("argv", [
+    ["dist", "M", "N"], ["flatten", "MM"], ["eval", "m1", "--phi", "a=1,b=5"],
+    ["push", "m2", "--map", "a=b,b=b"]], ids=lambda argv: argv[0])
+def test_a_defect_in_a_measure_no_command_names_exits_2(argv, defect, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(LEVEL3_PAIRS))
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+    extra, message = DEFECTS[defect]
+    raw = json.loads(json.dumps(LEVEL3_PAIRS))
+    raw["measures"].update(extra)
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DocumentError, match=re.escape(message)) as raised:
+        parse_document(path.read_text())
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["dist", "/nonexistent.json", "m1", "m2"]) == 2
 
@@ -561,6 +652,42 @@ def test_numbers_print_with_12_significant_digits(tmp_path, capsys):
     assert main(["dist", str(path), "d1", "d2"]) == 0
     out = capsys.readouterr().out
     assert "0.333333333333" in out
+
+
+def _huge_document():
+    """An equilateral 20-point space at 1.5e308, two full-support measures
+    whose transport costs pass the float range, two level-2 measures over
+    them, and two small ones for the brute-force oracle."""
+    labels = [f"p{i}" for i in range(20)]
+    return {
+        "space": {"points": labels,
+                  "dist": [[0 if a == b else 1.5e308 for b in labels] for a in labels]},
+        "measures": {
+            "mu": {"support": [{"atom": p, "weight": 0 if i == 0 else -1e308}
+                               for i, p in enumerate(labels)]},
+            "nu": {"support": [{"atom": p, "weight": 0 if i == 1 else -1.5e308}
+                               for i, p in enumerate(labels)]},
+            "M": {"support": [{"atom": "mu", "weight": 0}, {"atom": "nu", "weight": -1}]},
+            "N": {"support": [{"atom": "nu", "weight": 0}]},
+            "m2": {"support": [{"atom": "p0", "weight": 0}, {"atom": "p2", "weight": -1e308}]},
+            "n2": {"support": [{"atom": "p1", "weight": 0}, {"atom": "p2", "weight": -1.5e308}]},
+        },
+    }
+
+
+def test_costs_past_the_float_range_are_inf_without_warnings(tmp_path, capsys):
+    # the space's triangle check, the numpy kernel on one pair at level 1
+    # and on the restricted level-1 fill under level 2, and the oracle all
+    # add past the range
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_document()))
+    inf = "H = inf, rho_I = 1.5e+308 (truncated at diam = 1.5e+308)\n"
+    for argv, out in (
+            (["mu", "nu"], inf),
+            (["M", "N"], "H = 1.5e+308, rho_I = 1.5e+308 (diam = 1.5e+308, no truncation)\n"),
+            (["--oracle", "m2", "n2"], inf + "H_oracle = inf\n")):
+        assert main(["dist", str(path), *argv]) == 0
+        assert capsys.readouterr() == (out, "")
 
 
 def test_huge_integer_weight_exits_2(tmp_path, capsys):

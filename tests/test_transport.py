@@ -604,3 +604,19 @@ def test_retraction_moving_points_by_1_moves_a_measure_by_1_5(path3):
     assert image == tm.dirac(path3, "a")
     assert measure_distance(mu, image) == 1.5
     assert bottleneck_distance_bruteforce(mu, image) == 1.5
+
+
+def test_known_failure_pushforward_under_a_non_expanding_map_expands_rho(path3):
+    # the smallest case where rho is not non-expanding: f is 1-Lipschitz,
+    # yet the images lie twice as far apart as mu and nu
+    f = {"a": "a", "b": "a", "c": "b"}
+    for x in f:
+        for y in f:
+            assert (path3.dist[path3.index(f[x]), path3.index(f[y])]
+                    <= path3.dist[path3.index(x), path3.index(y)])
+    mu = tm.make_measure(path3, [("a", 0.0), ("b", -1.0)])
+    nu = tm.make_measure(path3, [("a", 0.0), ("c", -1.0)])
+    assert measure_distance(mu, nu) == bottleneck_distance_bruteforce(mu, nu) == 1.0
+    fmu, fnu = tm.pushforward(f, mu), tm.pushforward(f, nu)
+    assert fmu == tm.dirac(path3, "a")
+    assert measure_distance(fmu, fnu) == bottleneck_distance_bruteforce(fmu, fnu) == 2.0
