@@ -199,7 +199,7 @@ def parse_document(text: str) -> Document:
         top = max(weights)
         if abs(top) > SNAP_TOL:
             raise DocumentError(f"invalid measure {name!r}: max weight is {top!r}, "
-                                "expected 0 (use renormalize to shift explicitly)")
+                                "expected 0 (shift the term's weights so that the largest is 0)")
         if level == len(levels):
             levels.append([])
         found = known[id(term)] = (level + 1, len(levels[level]))

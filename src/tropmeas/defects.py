@@ -3,8 +3,8 @@
 Each named defect deliberately corrupts one load-bearing step of the
 metric computation.  The test suite turns them on and asserts that the
 campaigns catch the corruption; a campaign that stays green under every
-defect would be vacuous.  The kernels in :mod:`tropmeas.transport` carry
-no switch: a defect is a set of source patches, each replacing one piece
+defect would be vacuous.  The loop and the sweep of :mod:`tropmeas.transport`
+carry no switch: a defect is a set of source patches, each replacing one piece
 of text in one function, and :func:`inject` compiles the patched source
 of every affected function and swaps it in as the function's code, so
 every reference to the function, however it was imported, runs the
@@ -20,16 +20,17 @@ __all__ = ["DEFECTS", "enabled", "inject", "active"]
 
 #: defect -> ((function, text, replacement), ...); each text occurs exactly
 #: once in its function's source, also with every other defect applied.
-#: - "drop-cost-abs": pair costs use the signed weight gap instead of its
-#:   absolute value.
+#: - "drop-cost-abs": pair costs use the negated weight gap (w_l - w_k for
+#:   a witness k of entry l) instead of its absolute value.
 #: - "skip-truncation": the measure metric returns the raw transport value
 #:   without the min(diam, .) truncation.
-#: - "skip-column-witnesses": the transport value is computed from row
-#:   witnesses only.
+#: - "skip-column-witnesses": the transport value of a pair is its row side's
+#:   witness value, R unmirrored.
 _PATCHES = {
     "drop-cost-abs": (
+        (transport._witness_loop, "c = (wk - wj) + dj", "c = (wj - wk) + dj"),
         (transport._witness_loop, "c = (wj - wk) + p1", "c = (wk - wj) + p1"),
-        (transport._witness_kernel, "c = np.abs(g, out=g)", "c = g"),
+        (transport._block, "c = w - wl[:, None]", "c = wl[:, None] - w"),
     ),
     "skip-truncation": (
         (transport.measure_distance, "return h if h <= d else d", "return h"),
@@ -38,7 +39,8 @@ _PATCHES = {
     ),
     "skip-column-witnesses": (
         (transport._witness_loop, "return max(rows, cols)", "return rows"),
-        (transport._witness_kernel, "return np.maximum(rows, cols)", "return rows"),
+        (transport.bottleneck_distance, "max(r12, r21)", "r12"),
+        (transport.measure_distances, "dmat = np.maximum(R, R.T)", "dmat = R"),
     ),
 }
 

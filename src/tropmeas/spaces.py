@@ -21,7 +21,7 @@ even when the sampled pairwise distances all stay below it.
 space, keeping its points and distances) are two front doors to one
 builder: it skips measures that are already points and computes the
 metric only for pairs with a new point, all in one call of
-:func:`tropmeas.transport.measure_distances`, whose tiled kernel gives
+:func:`tropmeas.transport.measure_distances`, whose sweep or loop gives
 each distance bit for bit as :func:`~tropmeas.transport.measure_distance`;
 the builder hands it the points and the known matrix of the old ones.
 The builder defers that call to the first read of the space's ``dist``,
@@ -193,7 +193,7 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
     # reused buffer; argwhere's row-major order finds the first k, i, then j.
     # A sum past the float range is inf, as in scalar arithmetic, and
     # violates nothing.
-    step = max(1, 2**14 // (n * n))
+    step = max(1, 2**16 // (n * n))
     buf = np.empty((min(step, n), n, n))
     with np.errstate(over="ignore"):
         for k0 in range(0, n, step):
@@ -282,8 +282,8 @@ def _restrict(measures):
     builder's 1e-9 rule, and a monotone renumbering keeps equal atoms
     equal and distinct ones distinct.  A distance reads only the two
     measures' entries and the ground distances among their atoms, which
-    are equal by induction; the kernel and the loop agree bit for bit, so
-    how the smaller fill tiles its pairs changes nothing; and
+    are equal by induction; the sweep and the loop agree bit for bit, so
+    how the smaller fill blocks its rows changes nothing; and
     ``make_measure`` returns normalized weights unchanged.
     """
     ground = measures[0].ground

@@ -27,25 +27,30 @@ Hence the transport value equals
 Witness sets are never empty because normalization gives both measures a
 weight-0 atom.
 
-This is evaluated by one numpy kernel or one scalar double loop.
-:func:`measure_distances` fills the distance matrix of a list of
-measures, copying a known block of its first measures, and one rule
-picks the path of a call: when its count of new pairs times its largest
-support squared stays below ``VECTOR_CELL_CUTOFF``, every pair takes the
-loop, and otherwise every pair goes through the kernel, in tiles.  Row i
-holds the columns from max(i + 1, known) on, a suffix of the list, so a
-run of row measures is paired with its first row's columns; it gathers
-its ground rows (rows of the distance matrix) once, as one block, and
-takes the columns in chunks, each side's weights and atoms a slice of
-one entry array.  The kernel masks the costs
-``|w2[k] - w1[j]| + d(x1[j], x2[k])`` of a tile by weight dominance and
-reduces them by segments, one ``reduceat`` a step: a minimum over each
-row's entries of a column measure, a maximum over each row measure's
-entries, and likewise for the columns.  :func:`bottleneck_distance` is
-one pair: at least ``VECTOR_CELL_CUTOFF`` cells make it a one-pair tile.
-Both paths perform the same float operations on each cell, and min and
-max do no rounding, so neither the tiling nor the path changes a bit of
-the result.
+Per entry: rho(l, m), for an entry l (weight w_l, atom x_l) and a measure
+m, is the least (w_k - w_l) + d(x_l, x_k) over the entries k of m with
+w_k >= w_l, and R(i, j) the largest rho(l, j) over the entries l of
+measure i: the row part of the pair (i, j), R(j, i) its column part, and
+H(i, j) = max(R(i, j), R(j, i)).  A dominating gap is never negative and
+a - b == -(b - a) exactly, so w_k - w_l is |w2 - w1| bit for bit on either
+side.  d(x_l, x_k) is read from x_l's row, so the ground matrix must be
+exactly symmetric: :func:`~tropmeas.spaces.validate` enforces it at level
+0, and lifted matrices are mirrored.
+
+H is evaluated by one scalar double loop or one numpy sweep.  One rule
+picks the path of a :func:`measure_distances` call: when its count of new
+pairs times its largest support squared stays below
+``VECTOR_CELL_CUTOFF``, every pair takes the loop; otherwise the sweep
+gives R, for the rows of the new measures against every measure and of
+the old ones against the new ones (a known block is copied, never read).
+The sweep takes the row entries heaviest first, in blocks.  The columns
+at least as heavy as a block's heaviest row, its bulk, dominate all its
+rows: no mask, no abs, and in each column measure a prefix of the
+entries, so one ``np.minimum.reduceat`` gives rho by measure.  Only the
+tail, the few lighter columns its lightest row still reaches, is masked.
+:func:`bottleneck_distance` sweeps a pair of at least ``VECTOR_CELL_CUTOFF``
+cells, once per side.  Both paths do the same float operations on each
+witness cell, and min and max do no rounding: no bit depends on the path.
 
 :func:`bottleneck_distance_bruteforce` enumerates all support patterns
 with independent feasibility filtering and exists to keep this argument
@@ -76,23 +81,22 @@ __all__ = [
 #: Size guard for exhaustive pattern enumeration (support product).
 ORACLE_CELL_LIMIT = 20
 
-#: Work below which the scalar loop beats the numpy kernel: a pair of
-#: fewer cells (support sizes multiplied) takes the loop in
-#: bottleneck_distance, and so does every pair of a measure_distances call
-#: whose count of new pairs times its largest support squared stays below it.
-#: Loop/kernel time ratios, best of 15 on a 2-vCPU Xeon VM (Python 3.11,
-#: numpy 2.4): one pair in bottleneck_distance 0.66x at 8x8, 1.6x at
-#: 16x16, 2.5x at 24x24, 3.6x at 32x32, 7x at 256x256; a whole
-#: measure_distances call of k pairs, one measure against k others, at 256
-#: cells 0.39x (1 of 16x16), 0.48x (4 of 8x8), 0.67x (16 of 4x4), 1.0x
-#: (64 of 2x2), at 1024 cells 1.0x (4 of 16x16), 1.3x (16 of 8x8), 1.5x
-#: (64 of 4x4).  Tiling costs a call about 100 us, so a call breaks even
-#: nearer 1024 cells; the one constant keeps the break-even of a pair.
+#: Work below which the scalar loop beats the numpy sweep: a pair of fewer
+#: cells (support sizes multiplied) takes the loop in bottleneck_distance,
+#: and so does every pair of a measure_distances call whose count of new
+#: pairs times its largest support squared stays below it.  Loop/sweep
+#: time ratios, best of 15 on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4), 64
+#: points: one pair 0.09x at 8x8, 0.28x at 16x16, 0.5x at 24x24, 0.8x at
+#: 32x32, 1.2x at 40x40, 7.4x at 256x256 (300 points); a measure_distances
+#: call of one measure against k others, at 256 cells 0.28x (1 of 16x16),
+#: 0.35x (4 of 8x8), 0.5x (16 of 4x4), 0.8x (64 of 2x2), at 1024 cells
+#: 0.8x (4 of 16x16), 1.0x (16 of 8x8), 1.1x (64 of 4x4).  A sweep costs
+#: about 50 us, so both break even nearer 1024 cells than 256.
 VECTOR_CELL_CUTOFF = 256
 
-#: Cells per tile, bounding the kernel's temporaries; a run's block of
-#: ground rows is bounded alike.  Of 2^14 to 2^18, 2^16 ran the benchmark's
-#: distance_matrix lifts fastest.
+#: Cells per block of the sweep, its rows times the columns they reach or
+#: the ground's points if more, bounding its cost array and gathers.  2^16
+#: ran distance_matrix lifts fastest, 2^15 as fast, 2^17 5% slower.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -105,8 +109,8 @@ def cost(j: int, k: int, mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> floa
     """Pair cost |w2[k] - w1[j]| + d(x1[j], x2[k]).
 
     A reference for tests and witness certificates: no defect patches it,
-    so a defect in the kernels cannot bend it too.  An entry index out of
-    range raises ValueError, as in :func:`pattern_feasible`.
+    so a defect in the loop or the sweep cannot bend it too.  An entry
+    index out of range raises ValueError, as in :func:`pattern_feasible`.
     """
     _same_space(mu1, mu2)
     if not (0 <= j < len(mu1.weights) and 0 <= k < len(mu2.weights)):
@@ -152,15 +156,16 @@ def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float
     """Min over couplings of the worst pair cost, via the witness bound.
 
     A pair of at least VECTOR_CELL_CUTOFF cells (support sizes multiplied)
-    is a one-pair tile for the numpy kernel, a smaller one takes the
+    takes the sweep, one for each side's row witnesses, a smaller one the
     scalar loop; both give the same float, bit for bit.
     """
     _same_space(mu1, mu2)
     if mu1.support_size * mu2.support_size >= VECTOR_CELL_CUTOFF:
+        entries = _entries([mu1, mu2])
         with np.errstate(over="ignore"):  # a cost past the float range is inf
-            return float(_witness_kernel(
-                np.array(mu1.weights), mu1.ground.dist.take(mu1.atoms, axis=0), [0],
-                np.array(mu2.weights), np.array(mu2.atoms), [0])[0, 0])
+            r12 = _sweep(*entries, mu1.ground.dist, (0, 1), (1, 2))[0, 0]
+            r21 = _sweep(*entries, mu1.ground.dist, (1, 2), (0, 1))[0, 0]
+        return float(max(r12, r21))
     return _witness_loop(mu1, mu2)
 
 
@@ -194,81 +199,71 @@ def _witness_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
     return max(rows, cols)
 
 
-def _witness_kernel(w1, d1, starts1, w2, a2, starts2):
-    """Transport values of one tile, shape (row measures, column measures).
-
-    The row measures' weights ``w1`` and ground rows ``d1`` (rows of the
-    distance matrix) and the column measures' weights ``w2`` and atoms
-    ``a2`` stand one measure after another; measure m of each side starts
-    at entry ``starts1[m]`` or ``starts2[m]``.
-    """
-    # g = wk - wj is the scalar loop's own subtraction, and |g| is exactly
-    # wk - wj where g >= 0 and exactly wj - wk where g <= 0 (a tie gives
-    # +0.0 either way), so every masked cost |g| + d equals the loop's
-    # bitwise; min and max do no rounding, so the layout moves no bit.
-    g = w2 - w1[:, None]
-    ge, le = g >= 0, g <= 0
-    c = np.abs(g, out=g)
-    c += d1.take(a2, axis=1)
-    rows = np.minimum.reduceat(np.where(ge, c, math.inf), starts2, axis=1)
-    rows = np.maximum.reduceat(rows, starts1, axis=0)
-    cols = np.minimum.reduceat(np.where(le, c, math.inf), starts1, axis=0)
-    cols = np.maximum.reduceat(cols, starts2, axis=1)
-    return np.maximum(rows, cols)
-
-
-def _tiled(measures, old, dmat):
-    """Write into ``dmat`` the transport values of the pairs (i, j), i < j
-    and j >= old, above the diagonal; a tile of several row measures also
-    writes on and below it."""
-    ground = measures[0].ground
-    n = len(measures)
+def _entries(measures):
+    """The weights and atoms of every entry of ``measures``, one measure
+    after another and each measure's heaviest first, the measure of each
+    entry, and the offsets: measure m's entries are [off[m], off[m + 1])."""
     sizes = [mu.support_size for mu in measures]
-    # each measure's entries by weight, heaviest first: np.where branches
-    # per cell, and so a tile row's dominance masks change only once per
-    # column measure
     weights = np.array([w for mu in measures for w in mu.weights])
     atoms = np.array([a for mu in measures for a in mu.atoms])
-    by_weight = np.lexsort((-weights, np.repeat(np.arange(n), sizes)))
-    weights, atoms = weights[by_weight], atoms[by_weight]
-    # measure m's entries are weights[off[m]:off[m + 1]], and so are a run's
-    off = np.cumsum([0, *sizes])
-    h = 0
-    while h < n - 1:
-        # A run: row measure h, its columns first..n-1, which hold the
-        # columns of every later row, and the next rows, while the run's
-        # entries times those columns' entries (or the ground's points, for
-        # the block of ground rows) stay within _CHUNK_CELLS.
-        first = max(h + 1, old)
-        limit = off[h] + _CHUNK_CELLS // max(int(off[n] - off[first]), len(ground))
-        e = max(h + 1, int(np.searchsorted(off[:-1], limit, "right")) - 1)
-        w1, d1 = weights[off[h]:off[e]], ground.dist.take(atoms[off[h]:off[e]], axis=0)
-        # the run's tiles: its columns in chunks of at most about
-        # _CHUNK_CELLS cells, one ground-row block for them all
-        q = (off[first + 1:] - off[first] - 1) // max(1, _CHUNK_CELLS // len(w1))
-        bounds = [first, *(np.flatnonzero(q[1:] != q[:-1]) + first + 1).tolist(), n]
-        for k0, k1 in zip(bounds, bounds[1:]):
-            a, b = off[k0], off[k1]
-            dmat[h:e, k0:k1] = _witness_kernel(w1, d1, off[h:e] - off[h], weights[a:b],
-                                               atoms[a:b], off[k0:k1] - a)
-        h = e
+    owner = np.repeat(np.arange(len(measures)), sizes)
+    by_weight = np.lexsort((-weights, owner))  # keeps each entry's measure
+    return weights[by_weight], atoms[by_weight], owner, np.cumsum([0, *sizes])
+
+
+def _sweep(weights, atoms, owner, off, dist, rows, cols):
+    """R[i, j] (see the module docstring) for the measures i in range(*rows)
+    and j in range(*cols) of :func:`_entries`.  A block's bulk holds each
+    measure's weight-0 entry; column order is measure order."""
+    a, b = off[cols[0]], off[cols[1]]
+    cw, ca, cown, starts = weights[a:b], atoms[a:b], owner[a:b] - cols[0], off[cols[0]:cols[1]] - a
+    nc = cols[1] - cols[0]
+    by_weight, rank = np.lexsort((-cw,)), np.empty(len(cw), int)
+    rank[by_weight] = np.arange(len(cw))  # place in weight order, heaviest first
+    a, b = off[rows[0]], off[rows[1]]
+    order = np.lexsort((-weights[a:b],))
+    rw, ra, rown = weights[a:b][order], atoms[a:b][order], (owner[a:b][order] - rows[0]) * nc
+    # reach[p]: how many columns are at least as heavy as row p
+    reach = np.searchsorted(-cw[by_weight], -rw, "right")
+    width = np.maximum(reach, len(dist))  # a block's ground rows count too
+    r, span = np.full((rows[1] - rows[0]) * nc, -math.inf), np.arange(nc)
+    p = 0
+    while p < len(rw):
+        q = min(len(rw), p + max(1, _CHUNK_CELLS // width[p]))
+        q = min(len(rw), p + max(1, _CHUNK_CELLS // width[q - 1]))
+        hi, lo = reach[p], reach[q - 1]
+        bulk, tail = np.flatnonzero(rank < hi), np.flatnonzero((rank >= hi) & (rank < lo))
+        count = np.bincount(cown[tail], minlength=nc)  # each measure's tail columns
+        has = np.flatnonzero(count)
+        seg = np.concatenate((np.searchsorted(bulk, starts), hi + (np.cumsum(count) - count)[has]))
+        pick = np.concatenate((bulk, tail))
+        d = dist.take(ra[p:q], axis=0).take(ca[pick], axis=1)
+        rho = _block(rw[p:q], d, cw[pick], seg, hi)
+        # rho's first nc columns are the bulk minima, the rest the tail's
+        rho[:, has] = np.minimum(rho[:, has], rho[:, nc:])
+        np.maximum.at(r, (rown[p:q, None] + span).ravel(), rho[:, :nc].ravel())
+        p = q
+    return r.reshape(rows[1] - rows[0], nc)
+
+
+def _block(wl, d, w, seg, tail):
+    """Segment minima along each row of a block's costs: rows of weight
+    ``wl``, columns of weight ``w``, ground distances ``d`` between them,
+    segment m from ``seg[m]`` on; the columns from ``tail`` on, lighter
+    than the first, heaviest row, are masked where they do not dominate."""
+    c = w - wl[:, None]
+    c += d
+    c[:, tail:] = np.where(w[tail:] >= wl[:, None], c[:, tail:], math.inf)
+    return np.minimum.reduceat(c, seg, axis=1)
 
 
 def measure_distances(measures, known=None) -> np.ndarray:
     """The matrix of ``measure_distance`` between every two of
     ``measures``, bit for bit; the measures must share one space.
     ``known``, the matrix of the first ``len(known)`` measures, is copied,
-    not recomputed; a ``known`` that is not square, or larger than the
-    list, raises ValueError.
-
-    One rule picks the path of a call: when the count of new pairs (those
-    with a measure past ``known``) times the largest support squared stays
-    below VECTOR_CELL_CUTOFF, every pair takes the scalar loop.  Otherwise
-    pairs are taken by row measure; a run of row measures gathers its
-    ground rows once and is paired with chunks of its column measures, and
-    every such tile goes through the numpy kernel.  Either way a pair
-    (i, j) is computed with i < j as the row side, and the matrix is
-    mirrored once at the end.
+    not recomputed or read; a ``known`` that is not square, or larger than
+    the list, raises ValueError.  The loop computes a pair (i, j), i < j,
+    as its row side; the sweep's path is in the module docstring.
     """
     n, old = len(measures), 0 if known is None else len(known)
     if known is not None and (np.shape(known) != (old, old) or old > n):
@@ -279,24 +274,27 @@ def measure_distances(measures, known=None) -> np.ndarray:
     dmat = np.zeros((n, n))
     if not n:
         return dmat
-    if old:
-        dmat[:old, :old] = known
     pairs = n * (n - 1) // 2 - old * (old - 1) // 2
     if pairs * max(mu.support_size for mu in measures) ** 2 < VECTOR_CELL_CUTOFF:
-        # too little work to pay for tiling: every pair takes the loop
+        # too little work to pay for the sweep: every pair takes the loop
         for j in range(old, n):
             for i in range(j):
                 dmat[i, j] = _witness_loop(measures[i], measures[j])
     else:
+        entries, dist = _entries(measures), measures[0].ground.dist
         with np.errstate(over="ignore"):  # a cost past the float range is inf
-            _tiled(measures, old, dmat)
-    # a tile of several row measures also wrote below the diagonal, where
-    # the new rows take the mirror of their pairs, and on it, where the
-    # value of a measure against itself is 0 (each witness minimum is that
-    # of an atom against itself)
+            R = np.zeros((n, n))
+            R[old:] = _sweep(*entries, dist, (old, n), (0, n))
+            if old:
+                R[:old, old:] = _sweep(*entries, dist, (0, old), (old, n))
+        dmat = np.maximum(R, R.T)
+    # The loop writes above the diagonal only.  The sweep's R(i, i) is 0,
+    # whatever a gap costs: an entry is its own witness at cost 0, and the
+    # witnesses of a weight-0 entry cost their ground distance.
     low = np.tri(n, k=-1, dtype=bool)
-    low[:old] = False
     dmat[low] = dmat.T[low]
+    if old:
+        dmat[:old, :old] = known
     d = measures[0].ground.truncation_diam
     return np.where(dmat <= d, dmat, d)
 
@@ -351,7 +349,7 @@ def bottleneck_distance_threshold(mu1: IdempotentMeasure, mu2: IdempotentMeasure
     binary search over the sorted distinct costs finds it, testing each
     pattern by the maximal-coupling marginal check of
     :func:`pattern_feasible`.  It shares no code and no proof with the
-    witness kernel, yet returns one of the same float pair costs, so the
+    witness loop and sweep, yet returns one of the same float pair costs, so the
     two agree bitwise.  Test oracle; O(n1 n2 log(n1 n2)).
     """
     _same_space(mu1, mu2)

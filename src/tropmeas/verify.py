@@ -289,7 +289,7 @@ def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng):
     map_unit(mu) and the lifted Dirac at each nu to stay above eps, up to
     tolerance.  That distance is min(diam, max_i(|w_i| +
     distance_to_dirac(nu, x_i))) with no lifted space, bit for bit: the
-    lifted kernel's row cost (0.0 - w_i) + D is |w_i| + D exactly and tops
+    lifted witness cost (0.0 - w_i) + D is |w_i| + D exactly and tops
     the column witness, D is distance_to_dirac as ground distances are
     exactly symmetric, and lifting keeps the diameter.  D's own min(diam,
     .) is left out: where it would cut, the outer min gives diam anyway.

@@ -524,7 +524,8 @@ def test_the_parser_is_built_once_and_keeps_no_state(worked_file, capsys):
 #: command below reaches, and the part of parse_document's message naming it
 DEFECTS = {
     "unnormalized level 3": ({"bad": {"support": [{"atom": "M", "weight": -1}]}},
-                             "invalid measure 'bad': max weight is -1.0"),
+                             "invalid measure 'bad': max weight is -1.0, expected 0 "
+                             "(shift the term's weights so that the largest is 0)"),
     "unknown atom at level 2": ({"bad": {"support": [{"atom": "m1", "weight": 0},
                                                      {"atom": "zz", "weight": -1}]}},
                                 "unknown atom 'zz' in measure 'bad'"),
@@ -676,7 +677,7 @@ def _huge_document():
 
 
 def test_costs_past_the_float_range_are_inf_without_warnings(tmp_path, capsys):
-    # the space's triangle check, the numpy kernel on one pair at level 1
+    # the space's triangle check, the numpy sweep on one pair at level 1
     # and on the restricted level-1 fill under level 2, and the oracle all
     # add past the range
     path = tmp_path / "huge.json"

@@ -97,7 +97,7 @@ def _first_triangle_violation(d, labels):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 20, 50, 130])
 def test_validate_triangle_matches_per_k_loop(n):
-    # up to 20 points all k fit one chunk, 50 takes several, 130 one k each
+    # up to 20 points all k fit one chunk of 2**16 cells; 50 and 130 take several
     rng = np.random.default_rng(n)
     labels = [f"p{i}" for i in range(n)]
     first_ks = []
@@ -116,7 +116,24 @@ def test_validate_triangle_matches_per_k_loop(n):
     # two points always form a metric
     assert any(k is not None for k in first_ks) == (n > 2)
     if n >= 50:
-        assert max(k for k in first_ks if k is not None) >= 2**14 // n**2
+        assert max(k for k in first_ks if k is not None) >= 2**16 // n**2
+
+
+def test_validate_reports_the_first_violation_past_a_small_chunk():
+    # On 64 points the first violation lies at k = 5, past the 4 values of
+    # k that a chunk of 2**14 cells held, and a later k breaks a pair of
+    # smaller indices: the scan stays in k order, so k = 5 is reported.
+    d = np.ones((64, 64))
+    np.fill_diagonal(d, 0.0)
+    d[60, :5] = d[:5, 60] = 2.0   # p60 is 2 from p0..p4 ...
+    d[60, 61] = d[61, 60] = 3.0   # ... so only k >= 5 shortens d(p60, p61)
+    d[0, 2:40] = d[2:40, 0] = 2.0
+    d[0, 1] = d[1, 0] = 3.0       # only k >= 40 shortens d(p0, p1)
+    labels = [f"p{i}" for i in range(64)]
+    v = validate(FiniteMetricSpace(labels, d, check=False))
+    assert v == MetricViolation(
+        "triangle", "triangle violation: d(p60, p61) = 3.0 > d via p5 = 2.0")
+    assert _first_triangle_violation(d, labels) == (5, v)
 
 
 def test_constructor_rejects_invalid_level0():
@@ -282,7 +299,7 @@ def test_cached_views_are_built_on_first_read():
     assert rows == X.dist.tolist() and X._rows is rows
     assert type(rows[0][1]) is float
 
-    # a kernel-only lift, on a 32-point ground, reads no plain rows
+    # a lift that only sweeps, on a 32-point ground, reads no plain rows
     rng = np.random.default_rng(23)
     G = tm.gen_space(32, rng)
     L = lift(G, [tm.gen_measure(G, 16, rng, min_support=16) for _ in range(3)])

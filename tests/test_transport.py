@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from tropmeas import defects, transport
 from tropmeas.transport import (
     ORACLE_CELL_LIMIT,
     VECTOR_CELL_CUTOFF,
-    _witness_kernel,
     bottleneck_distance,
     bottleneck_distance_bruteforce,
     cost,
@@ -197,11 +198,12 @@ def _grid_measure(space, size, rng):
     return _measure(space, atoms, -0.25 * rng.integers(0, 5, size=size))
 
 
-def _kernel(m1, m2):
-    """The numpy kernel on one pair, as a one-pair tile."""
-    return float(_witness_kernel(
-        np.array(m1.weights), m1.ground.dist.take(m1.atoms, axis=0), [0],
-        np.array(m2.weights), np.array(m2.atoms), [0])[0, 0])
+def _by_sweep(m1, m2):
+    """The sweep on one pair, whatever its size: bottleneck_distance with
+    every pair at or past the cutoff."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(transport, "VECTOR_CELL_CUTOFF", 0)
+        return bottleneck_distance(m1, m2)
 
 
 def _min_worst_cost_over_patterns(m1, m2):
@@ -239,7 +241,7 @@ def test_vector_kernel_agrees_with_bruteforce():
         else:
             m1, m2 = (_grid_measure(sp, int(rng.integers(1, 5)), rng) for _ in range(2))
         assert m1.support_size * m2.support_size <= ORACLE_CELL_LIMIT
-        h = _kernel(m1, m2)
+        h = _by_sweep(m1, m2)
         assert h.hex() == bottleneck_distance_bruteforce(m1, m2).hex()
 
 
@@ -262,7 +264,7 @@ def test_vector_kernel_matches_scalar_loop_bitwise(drop_abs, skip_cols, monkeypa
             else:
                 m1, m2 = _grid_measure(sp, n1, rng), _grid_measure(sp, n2, rng)
             sizes.add(n1 * n2 >= VECTOR_CELL_CUTOFF)
-            v = _kernel(m1, m2)
+            v = _by_sweep(m1, m2)
             assert v.hex() == bottleneck_distance(m1, m2).hex()
     assert sizes == {False, True}
 
@@ -284,7 +286,7 @@ def test_defects_reach_the_vector_kernel(monkeypatch):
 
     m1, m2 = near(32), far(32)
     assert m1.support_size * m2.support_size >= VECTOR_CELL_CUTOFF
-    # a lift whose 120 pairs of supports 4 x 4 take the kernel in one batch
+    # a lift whose 120 pairs of supports 4 x 4 take the sweep in one call
     pts = [near(4) for _ in range(8)] + [far(4) for _ in range(8)]
     assert 120 * 4 * 4 >= VECTOR_CELL_CUTOFF > 4 * 4
     clean = measure_distance(m1, m2)
@@ -309,27 +311,28 @@ def _exact_size_measure(space, size, rng):
 
 
 @pytest.fixture
-def tiles(monkeypatch):
-    """Per call through ``tiles["call"]``: the tiles the numpy kernel
-    computed, as (cells, row measures' sizes, column measures' sizes), and
-    the pairs the scalar loop computed."""
-    seen = {"kernel": [], "loop": 0}
-    kernel, loop = transport._witness_kernel, transport._witness_loop
+def blocks(monkeypatch):
+    """Per call through ``blocks["call"]``: the blocks of rows the sweep
+    computed, as (cells, masked tail columns, whether the block has several
+    rows and more cells than its budget), and the pairs the scalar loop
+    computed."""
+    seen = {"blocks": [], "loop": 0}
+    block, loop = transport._block, transport._witness_loop
 
-    def counted_kernel(w1, d1, starts1, w2, a2, starts2):
-        seen["kernel"].append((len(w1) * len(w2), np.diff([*starts1, len(w1)]).tolist(),
-                               np.diff([*starts2, len(w2)]).tolist()))
-        return kernel(w1, d1, starts1, w2, a2, starts2)
+    def counted_block(wl, d, w, seg, tail):
+        over = len(wl) > 1 and d.size > transport._CHUNK_CELLS
+        seen["blocks"].append((d.size, len(w) - tail, over))
+        return block(wl, d, w, seg, tail)
 
     def counted_loop(mu1, mu2):
         seen["loop"] += 1
         return loop(mu1, mu2)
 
     def call(build):
-        seen["kernel"], seen["loop"] = [], 0
-        return build(), seen["kernel"], seen["loop"]
+        seen["blocks"], seen["loop"] = [], 0
+        return build(), seen["blocks"], seen["loop"]
 
-    monkeypatch.setattr(transport, "_witness_kernel", counted_kernel)
+    monkeypatch.setattr(transport, "_block", counted_block)
     monkeypatch.setattr(transport, "_witness_loop", counted_loop)
     seen["call"] = call
     return seen
@@ -339,10 +342,10 @@ def tiles(monkeypatch):
     names for r in range(len(defects.DEFECTS) + 1)
     for names in itertools.combinations(sorted(defects.DEFECTS), r)],
     ids=lambda names: "+".join(names) or "clean")
-def test_lift_matches_pairwise_measure_distance(active, tiles):
+def test_lift_matches_pairwise_measure_distance(active, blocks):
     rng = np.random.default_rng(24)
     sp = tm.gen_space(80, rng)
-    tiled = looped = spans_tiles = single_entries = False
+    swept = looped = spans_blocks = single_entries = masked = False
     with contextlib.ExitStack() as stack:
         for name in active:
             stack.enter_context(defects.inject(name))
@@ -351,38 +354,40 @@ def test_lift_matches_pairwise_measure_distance(active, tiles):
             make = _grid_measure if case % 2 else _exact_size_measure
             sizes = rng.choice([1, 2, 3, 5, 16, 64], size=int(rng.integers(8, 14)))
             if case == 4:
-                # pairs of 64 x 64 supports over several tiles
+                # pairs of 64 x 64 supports over several blocks
                 sizes = np.append(sizes, [64] * 16)
             if case == 5:
-                # too little work to tile: every fill takes the loop
+                # too little work to sweep: every fill takes the loop
                 sizes = rng.choice([1, 2, 3], size=5)
             if case == 6:
-                # 4950 pairs of 4 x 4 supports: runs of many row measures
+                # 4950 pairs of 4 x 4 supports: blocks of rows of many measures
                 sizes = np.full(100, 4)
             mus = [make(sp, int(n), rng) for n in sizes]
             half = len(mus) // 2
             with pytest.MonkeyPatch.context() as m:
                 if case == 7:
-                    # a small tile budget: many tiles per run
+                    # a small block budget: many blocks per sweep
                     m.setattr(transport, "_CHUNK_CELLS", 512)
                 base = tm.lift(sp, mus[:half])
-                calls = [tiles["call"](lambda: tm.lift(sp, mus)),
-                         tiles["call"](lambda: tm.lift_extend(base, mus[half:]))]
-            for L, kernel, loop in calls:
+                calls = [blocks["call"](lambda: tm.lift(sp, mus)),
+                         blocks["call"](lambda: tm.lift_extend(base, mus[half:]))]
+            for L, swept_blocks, loop in calls:
                 pts = L.points
                 expected = np.zeros((len(pts), len(pts)))
                 for j in range(len(pts)):
                     for i in range(j):
                         expected[i, j] = expected[j, i] = measure_distance(pts[i], pts[j])
                 assert L.dist.tobytes() == expected.tobytes()
-                # each call is one fill, which takes the loop or the tiles,
+                # each call is one fill, which takes the loop or the sweep,
                 # never both
-                assert not (kernel and loop)
-                tiled |= bool(kernel)
+                assert not (swept_blocks and loop)
+                assert not any(over for _, _, over in swept_blocks)
+                swept |= bool(swept_blocks)
                 looped |= loop > 0
-                spans_tiles |= sum(cells for cells, _, _ in kernel) > 2 * transport._CHUNK_CELLS
-                single_entries |= any(n == 1 for _, n1, n2 in kernel for n in n1 + n2)
-    assert tiled and looped and spans_tiles and single_entries
+                spans_blocks |= sum(c for c, _, _ in swept_blocks) > 2 * transport._CHUNK_CELLS
+                single_entries |= bool(swept_blocks) and min(p.support_size for p in pts) == 1
+                masked |= any(tail for _, tail, _ in swept_blocks)
+    assert swept and looped and spans_blocks and single_entries and masked
 
 
 def test_measure_distances_fills_the_matrix_and_copies_known():
@@ -412,6 +417,51 @@ def test_measure_distances_fills_the_matrix_and_copies_known():
         assert got.dtype == float and got.tobytes() == expected.tobytes()
 
 
+def test_lift_fill_bytes_are_pinned():
+    # The sha256 of the bytes of lift and lift_extend matrices, recorded
+    # before the fill became a sweep of row witnesses: supports 1..256,
+    # continuous and tying grid weights, a 300-point and a lifted ground,
+    # and a known block of random size.  Any bit the fill moves shows here.
+    rng = np.random.default_rng(31)
+    big = tm.gen_space(300, rng)
+    small = tm.gen_space(12, rng)
+    lifted = tm.lift(small, [_grid_measure(small, int(n), rng)
+                             for n in rng.integers(1, 6, size=40)])
+    digest = hashlib.sha256()
+    for case in range(8):
+        ground = lifted if case % 4 == 3 else big
+        top = min(256, len(ground))
+        sizes = [1, 1, top, *np.rint(np.exp(rng.uniform(0, np.log(top), size=9))).astype(int)]
+        make = _grid_measure if case % 2 else _exact_size_measure
+        mus = [make(ground, int(n), rng) for n in rng.permutation(sizes)]
+        old = int(rng.integers(1, len(mus)))
+        digest.update(tm.lift(ground, mus).dist.tobytes())
+        digest.update(tm.lift_extend(tm.lift(ground, mus[:old]), mus[old:]).dist.tobytes())
+    assert digest.hexdigest() == (
+        "af702a9e51ce82d81e7817b62239377db69527e9c3e164f32c07873d5ff7d6b3")
+
+
+def test_a_large_support_lift_stays_within_its_memory():
+    # One lift shaped like the benchmark's distance_matrix: 24 measures of
+    # supports 16..256 on a 512-point space.  Its tracemalloc peak was
+    # 2 518 419 bytes when the fill was tiled; more means larger, whole-call
+    # or concurrent temporaries.
+    rng = np.random.default_rng(32)
+    sp = tm.gen_space(512, rng)
+    diam = sp.truncation_diam
+    strata = (np.arange(24) + rng.uniform(size=24)) / 24
+    sizes = np.rint(16 * 16 ** rng.permutation(strata)).astype(int)
+    mus = [_measure(sp, rng.choice(512, size=int(n), replace=False),
+                    rng.uniform(-diam / 4, 0.0, size=int(n))) for n in sizes]
+    tracemalloc.start()
+    try:
+        tm.lift(sp, mus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_518_419
+
+
 def test_measure_distances_rejects_a_bad_known():
     sp = tm.gen_space(5, np.random.default_rng(26))
     mus = [tm.dirac(sp, i) for i in range(3)]
@@ -432,13 +482,14 @@ def test_measure_distances_of_no_pairs_is_empty():
         assert got.shape == (len(mus), len(mus))
 
 
-def test_lifted_finite_sets_are_at_their_hausdorff_distance(tiles):
+def test_lifted_finite_sets_are_at_their_hausdorff_distance(blocks):
     # A measure with weight 0 on every atom is the finite set A of its
     # atoms; every pair dominates, so the metric is min(diam, Hausdorff),
-    # here from plain numpy, sharing no code with the witness kernel.
-    # Small sets on 2-8 points take the loop; sets of 16-63 of 64 points
-    # take the kernel, with a tile budget of 256 cells that splits a run's
-    # columns into many tiles.
+    # here from plain numpy, sharing no code with the sweep.  Small sets
+    # on 2-8 points take the loop; sets of 16-63 of 64 points take the
+    # sweep, with a block budget of 256 cells that makes many blocks.  All
+    # weights tie, so every witness is at least as heavy as every row of
+    # its block and no column is masked.
     rng = np.random.default_rng(30)
 
     def check(sp, sizes):
@@ -447,9 +498,9 @@ def test_lifted_finite_sets_are_at_their_hausdorff_distance(tiles):
                 for k in sizes]
         half = len(sets) // 2
         base = tm.lift(sp, sets[:half])
-        calls = [tiles["call"](lambda: tm.lift(sp, sets)),
-                 tiles["call"](lambda: tm.lift_extend(base, sets[half:]))]
-        for L, kernel, loop in calls:
+        calls = [blocks["call"](lambda: tm.lift(sp, sets)),
+                 blocks["call"](lambda: tm.lift_extend(base, sets[half:]))]
+        for L, swept_blocks, loop in calls:
             expected = np.zeros((len(L), len(L)))
             for i, a in enumerate(L.points):
                 for j, b in enumerate(L.points):
@@ -457,27 +508,28 @@ def test_lifted_finite_sets_are_at_their_hausdorff_distance(tiles):
                     h = max(d.min(axis=1).max(), d.min(axis=0).max())
                     expected[i, j] = min(sp.truncation_diam, h)
             assert L.dist.tobytes() == expected.tobytes()
-            yield len(L), kernel, loop
+            yield len(L), swept_blocks, loop
 
     looped = 0
     for _ in range(60):
         sp = tm.gen_space(int(rng.integers(2, 9)), rng)
         sizes = rng.integers(1, min(len(sp), 3) + 1, size=int(rng.integers(2, 6)))
-        for _, kernel, loop in check(sp, sizes):
-            assert not kernel
+        for _, swept_blocks, loop in check(sp, sizes):
+            assert not swept_blocks
             looped += loop
     assert looped > 200
     with pytest.MonkeyPatch.context() as m:
         m.setattr(transport, "_CHUNK_CELLS", 256)
         sp = tm.gen_space(64, rng)
         for _ in range(3):
-            for n, kernel, loop in check(sp, rng.integers(16, 64, size=10)):
-                # more tiles than the at most n - 1 runs
-                assert len(kernel) > n - 1 and not loop
+            for n, swept_blocks, loop in check(sp, rng.integers(16, 64, size=10)):
+                # the small budget splits the rows into many blocks, more than n - 1
+                assert len(swept_blocks) > n - 1 and not loop
+                assert not any(tail or over for _, tail, over in swept_blocks)
 
 
 def test_threshold_search_matches_tiled_lifts_bitwise():
-    # a second oracle that shares no proof with the witness kernel, at the
+    # a second oracle that shares no proof with the sweep, at the
     # large supports the brute force cannot reach
     rng = np.random.default_rng(28)
     sp = tm.gen_space(300, rng)

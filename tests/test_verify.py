@@ -446,7 +446,7 @@ def test_inject_rejects_unknown_defect():
     for names in itertools.combinations(sorted(defects.DEFECTS), r)],
     ids=lambda names: "+".join(names) or "clean")
 def test_inject_composes_and_restores(names):
-    # the kernels carry no switch; a defect exists only as patched code
+    # the loop and the sweep carry no switch; a defect exists only as patched code
     assert "defects" not in inspect.getsource(transport)
     original = {name: fn.__code__ for name, fn in vars(transport).items()
                 if inspect.isfunction(fn)}
