@@ -99,6 +99,10 @@ VECTOR_CELL_CUTOFF = 256
 #: ran distance_matrix lifts fastest, 2^15 as fast, 2^17 5% slower.
 _CHUNK_CELLS = 1 << 16
 
+#: Masks per chunk of :func:`bottleneck_distance_bruteforce`: its tables
+#: hold cells x _ORACLE_CHUNK entries, at most 0.7 MB each at the guard.
+_ORACLE_CHUNK = 1 << 12
+
 
 def _same_space(mu1: IdempotentMeasure, mu2: IdempotentMeasure):
     if mu1.ground is not mu2.ground:
@@ -304,10 +308,15 @@ def bottleneck_distance_bruteforce(mu1: IdempotentMeasure,
     """Exhaustive reference value: minimum worst pair cost over all
     feasible support patterns.
 
-    Enumerates every nonempty subset of the support-pair grid as a cells x
-    masks table, filters by the maximal-coupling marginal check, and
-    minimizes the pattern's worst cost, each maximum taken over the short
-    axis 0.  Test oracle only; guarded to ORACLE_CELL_LIMIT grid cells.
+    Enumerates every subset of the n1 x n2 support-pair grid, one bit of a
+    mask per cell, in chunks of ``_ORACLE_CHUNK`` consecutive masks.  Per
+    chunk one table keeps each pattern's pair caps min(w1[j], w2[k]); its
+    maxima along the columns and along the rows are the maximal-coupling
+    marginal check of every row and every column, and the pattern's worst
+    cost is the maximum of its pair costs.  A running minimum over the
+    feasible patterns of each chunk gives the value.  Mask 0, the empty
+    pattern, fails the row check.  Memory stays bounded by the chunk, not
+    by 2^(n1 n2).  Test oracle only; guarded to ORACLE_CELL_LIMIT cells.
     """
     _same_space(mu1, mu2)
     w1 = np.array(mu1.weights)
@@ -321,24 +330,19 @@ def bottleneck_distance_bruteforce(mu1: IdempotentMeasure,
         )
     dsub = mu1.ground.dist[np.ix_(mu1.atoms, mu2.atoms)]
     with np.errstate(over="ignore"):  # a cost past the float range is inf
-        costs = (np.abs(w2[None, :] - w1[:, None]) + dsub).ravel()
-    caps = np.minimum(w1[:, None], w2[None, :]).ravel()
-
-    masks = np.arange(1, 1 << cells, dtype=np.uint32)
-    bits = ((masks[None, :] >> np.arange(cells, dtype=np.uint32)[:, None]) & 1).astype(bool)
-
-    feasible = np.ones(len(masks), dtype=bool)
-    for j in range(n1):
-        sel = bits[j * n2:(j + 1) * n2]
-        rowmax = np.where(sel, caps[j * n2:(j + 1) * n2, None], -np.inf).max(axis=0)
-        feasible &= rowmax == w1[j]
-    for k in range(n2):
-        sel = bits[k::n2]
-        colmax = np.where(sel, caps[k::n2, None], -np.inf).max(axis=0)
-        feasible &= colmax == w2[k]
-
-    worst = np.where(bits, costs[:, None], -np.inf).max(axis=0)
-    return float(worst[feasible].min())
+        costs = (np.abs(w2[None, :] - w1[:, None]) + dsub)[:, :, None]
+    caps = np.minimum(w1[:, None], w2[None, :])[:, :, None]
+    shifts = np.arange(cells, dtype=np.uint32).reshape(n1, n2, 1)
+    best = math.inf
+    for start in range(0, 1 << cells, _ORACLE_CHUNK):
+        masks = np.arange(start, min(start + _ORACLE_CHUNK, 1 << cells), dtype=np.uint32)
+        bits = ((masks >> shifts) & 1).astype(bool)  # cell (j, k) of each pattern
+        kept = np.where(bits, caps, -math.inf)
+        feasible = ((kept.max(axis=1) == w1[:, None]).all(axis=0)
+                    & (kept.max(axis=0) == w2[:, None]).all(axis=0))
+        worst = np.where(bits, costs, -math.inf).max(axis=(0, 1))
+        best = worst[feasible].min(initial=best)
+    return float(best)
 
 
 def bottleneck_distance_threshold(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:

@@ -23,7 +23,8 @@ The checks:
   unit-pushforward stays that far from every lifted Dirac, a distance
   taken in closed form: the coupling with a Dirac is unique, so it is exact.
   Its samples are drawn by the helper behind :func:`gen_measure`, as plain
-  atoms and weights; only the worst one becomes a measure.
+  atoms and weights, and scored with the Diracs in one numpy pass over a
+  (draws, points, support) array; only the worst one becomes a measure.
 """
 
 import math
@@ -37,6 +38,7 @@ from .measures import FunctionOnSpace
 from .monad import _as_rng, flatten, sample_flatten_preimage, unit
 from .spaces import FiniteMetricSpace, lift, lift_extend
 from .transport import (
+    ORACLE_CELL_LIMIT,
     bottleneck_distance,
     bottleneck_distance_bruteforce,
     distance_to_diracs,
@@ -293,26 +295,27 @@ def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng):
     the column witness, D is distance_to_dirac as ground distances are
     exactly symmetric, and lifting keeps the diameter.  D's own min(diam,
     .) is left out: where it would cut, the outer min gives diam anyway.
-    Only the worst nu becomes a measure.
+    All draws are scored in one numpy pass, whose array holds (n +
+    sample_count) x n x support floats; the first least value is the worst
+    nu, and only it becomes a measure.
     """
     rng = _as_rng(rng)
     ground = mu.ground
     n = len(ground)
-    rows = ground._rows
     diam = ground.truncation_diam
     span = _weight_span(ground)
     eps = distance_to_diracs(mu)
-    worst = math.inf
     draws = [([x], [0.0]) for x in range(n)]
     draws += [_draw_entries(n, n, rng, 1, span) for _ in range(sample_count)]
-    for atoms, weights in draws:
-        nu_rows = [(abs(v), rows[b]) for b, v in zip(atoms, weights)]
-        h = max(abs(w) + max(v + row[a] for v, row in nu_rows) for a, w in mu.entries())
-        rhs = h if h <= diam else diam
-        if rhs < worst:
-            worst = rhs
-            worst_draw = atoms, weights
-    worst_nu = make_measure(ground, zip(*worst_draw))
+    v = np.full((len(draws), n), -math.inf)  # |v| on each draw's support
+    owner = np.repeat(np.arange(len(draws)), [len(atoms) for atoms, _ in draws])
+    v[owner, [b for atoms, _ in draws for b in atoms]] = [abs(x) for _, ws in draws for x in ws]
+    inner = (v[:, :, None] + ground.dist[:, mu.atoms]).max(axis=1)
+    h = (np.abs(mu.weights) + inner).max(axis=1)
+    rhs = np.where(h <= diam, h, diam)
+    i = int(np.argmin(rhs))  # the first minimum, the worst draw
+    worst = float(rhs[i])
+    worst_nu = make_measure(ground, zip(*draws[i]))
     return eps, worst, max(0.0, eps - worst), worst_nu
 
 
@@ -358,7 +361,17 @@ def run_oracle_equivalence(cases: int = 500, seed: int = 0,
                            tol: float = 0.0,
                            space_size: int | None = None,
                            max_support: int = 4) -> LemmaReport:
-    """Witness-based transport value vs. brute-force enumeration, bitwise."""
+    """Witness-based transport value vs. brute-force enumeration, bitwise.
+    ``max_support`` squared must stay within ORACLE_CELL_LIMIT, so that no
+    seed draws a pair past the enumeration guard."""
+    if max_support < 1:
+        raise ValueError(f"max_support must be at least 1, got {max_support}")
+    if max_support ** 2 > ORACLE_CELL_LIMIT:
+        raise ValueError(
+            f"max_support must be at most {math.isqrt(ORACLE_CELL_LIMIT)}, so that "
+            f"no pair exceeds the {ORACLE_CELL_LIMIT}-cell enumeration guard, "
+            f"got {max_support}")
+
     def case(space, rng, record):
         m1 = gen_measure(space, max_support, rng)
         m2 = gen_measure(space, max_support, rng)
@@ -398,6 +411,9 @@ def run_lemma2(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
                space_size: int | None = None, max_extras: int = 3) -> LemmaReport:
     """Dirac distance vs. level-2 distance to sampled flatten-preimages of
     measures on at most 4 points."""
+    if max_extras < 0:
+        raise ValueError(f"max_extras must be at least 0, got {max_extras}")
+
     def case(space, rng, record):
         mu = gen_measure(space, 4, rng)
         x0 = int(rng.integers(len(space)))
@@ -418,7 +434,11 @@ def run_lemma2(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
 def run_lemma3(cases: int = 100, seed: int = 0, tol: float = CAMPAIGN_TOL,
                space_size: int | None = None, sample_count: int = 200) -> LemmaReport:
     """Separation from the Diracs survives the unit pushforward, for
-    measures on 2 to 4 points."""
+    measures on 2 to 4 points.  With no sample, every draw is a Dirac,
+    which reproduces eps exactly, so ``sample_count`` must be at least 1."""
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
+
     def case(space, rng, record):
         mu = gen_measure(space, 4, rng, min_support=2)
         eps, worst, violation, worst_nu = check_lemma3(mu, sample_count, rng)

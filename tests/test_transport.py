@@ -557,6 +557,37 @@ def test_threshold_search_agrees_with_bruteforce():
         assert h.hex() == bottleneck_distance_bruteforce(m1, m2).hex()
 
 
+@pytest.mark.parametrize("make", [_exact_size_measure, _grid_measure])
+def test_bruteforce_agrees_with_threshold_across_chunks(make):
+    # up to the 20-cell guard the masks span several chunks; a 1 x n pair
+    # has one feasible pattern, the full one, which is the last mask, and
+    # a Dirac pair has a single mask
+    rng = np.random.default_rng(33)
+    sp = tm.gen_space(24, rng)
+    for n1, n2 in [(1, 1), (1, 20), (2, 10), (3, 6), (4, 4), (4, 5), (5, 4)]:
+        m1, m2 = make(sp, n1, rng), make(sp, n2, rng)
+        assert (m1.support_size, m2.support_size) == (n1, n2)
+        h = transport.bottleneck_distance_threshold(m1, m2)
+        assert h.hex() == bottleneck_distance_bruteforce(m1, m2).hex()
+
+
+def test_the_bruteforce_oracle_stays_within_its_memory():
+    # a 4 x 4 pair and a 4 x 5 pair at the guard: a table of all 2^cells
+    # patterns at once peaked at 10.8 MiB and 209 MiB; chunks of masks keep
+    # every table to cells x _ORACLE_CHUNK entries
+    rng = np.random.default_rng(34)
+    sp = tm.gen_space(8, rng)
+    for n1, n2 in [(4, 4), (4, 5)]:
+        m1, m2 = _exact_size_measure(sp, n1, rng), _exact_size_measure(sp, n2, rng)
+        tracemalloc.start()
+        try:
+            bottleneck_distance_bruteforce(m1, m2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+
 def test_pattern_monotonicity_sample(worked):
     # adding a pair to a feasible pattern never decreases its worst cost
     _, m1, m2 = worked

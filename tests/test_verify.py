@@ -487,6 +487,36 @@ def test_campaigns_reject_a_one_point_space(runner):
         runner(cases=5, space_size=1)
 
 
+@pytest.mark.parametrize("max_support, match", [
+    (0, "max_support must be at least 1, got 0"),
+    (-2, "max_support must be at least 1, got -2"),
+    (5, "max_support must be at most 4, .* 20-cell enumeration guard, got 5"),
+])
+def test_oracle_campaign_rejects_a_support_past_the_guard(max_support, match):
+    # at max_support 5 the verdict hung on the seed: 20 cases passed at
+    # seeds 0, 2 and 3 and raised the enumeration guard at seeds 1 and 4
+    for seed in range(5):
+        with pytest.raises(ValueError, match=match):
+            run_oracle_equivalence(cases=20, seed=seed, max_support=max_support)
+    assert run_oracle_equivalence(cases=5, seed=0, max_support=1).passed
+
+
+@pytest.mark.parametrize("sample_count", [0, -3])
+def test_lemma3_campaign_rejects_no_samples(sample_count):
+    # with the Diracs alone every case reproduces eps and passes at 0.0;
+    # check_lemma3 itself still accepts 0
+    with pytest.raises(ValueError, match=f"sample_count must be at least 1, got {sample_count}"):
+        run_lemma3(cases=5, seed=0, sample_count=sample_count)
+    assert run_lemma3(cases=5, seed=0, sample_count=1).cases == 5
+
+
+def test_lemma2_campaign_rejects_negative_extras():
+    # used to fail inside numpy with "high <= 0"
+    with pytest.raises(ValueError, match="max_extras must be at least 0, got -1"):
+        run_lemma2(cases=5, seed=0, max_extras=-1)
+    assert run_lemma2(cases=5, seed=0, max_extras=0).cases == 5
+
+
 @pytest.mark.parametrize("bad, match", [
     ({"cases": 0}, "cases must be at least 1, got 0"),
     ({"cases": -5}, "cases must be at least 1, got -5"),
