@@ -19,7 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .measures import SNAP_TOL, FunctionOnSpace, IdempotentMeasure, evaluate, pushforward
+from .measures import (SNAP_TOL, FunctionOnSpace, IdempotentMeasure, _snapped, evaluate,
+                       pushforward)
 from .monad import flatten
 from .spaces import FiniteMetricSpace, _build, _restrict, validate
 from .transport import bottleneck_distance, bottleneck_distance_bruteforce
@@ -152,7 +153,7 @@ def parse_document(text: str) -> Document:
         raise DocumentError("'measures' must map names to measure terms")
 
     index = space._index
-    # levels[k]: (atoms, weights, top) of each level-(k + 1) term in the order
+    # levels[k]: (atoms, weights) of each level-(k + 1) term in the order
     # it became known; a level-1 atom is a point, a higher one the place of a
     # term in the level below
     levels: list[list] = []
@@ -203,7 +204,7 @@ def parse_document(text: str) -> Document:
         if level == len(levels):
             levels.append([])
         found = known[id(term)] = (level + 1, len(levels[level]))
-        levels[level].append((atoms, weights, top))
+        levels[level].append((atoms, weights))
         return found
 
     try:
@@ -222,16 +223,14 @@ def parse_document(text: str) -> Document:
         if built:
             ground, where = _build(ground, built[-1])
         measures = []
-        for atoms, weights, top in members:
+        for atoms, weights in members:
             if where is not None:
                 atoms = [where[k] for k in atoms]
             merged = {}
             for a, w in zip(atoms, weights):  # repeated points merge as in make_measure
                 if a not in merged or w > merged[a]:
                     merged[a] = w
-            atoms = sorted(merged)
-            measures.append(IdempotentMeasure(ground, tuple(atoms), tuple([
-                0.0 if (merged[a] == top or merged[a] > 0.0) else merged[a] for a in atoms])))
+            measures.append(_snapped(ground, merged))
         built.append(measures)
     named = {}
     for name, term in raw_measures.items():

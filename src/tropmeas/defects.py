@@ -24,12 +24,11 @@ __all__ = ["DEFECTS", "enabled", "inject", "active"]
 #:   a witness k of entry l) instead of its absolute value.
 #: - "skip-truncation": the measure metric returns the raw transport value
 #:   without the min(diam, .) truncation.
-#: - "skip-column-witnesses": the transport value of a pair is its row side's
-#:   witness value, R unmirrored.
+#: - "skip-column-witnesses": the transport value of a pair is R(mu1, mu2),
+#:   and a distance matrix mirrors R's upper triangle, not max(R, R^T).
 _PATCHES = {
     "drop-cost-abs": (
-        (transport._witness_loop, "c = (wk - wj) + dj", "c = (wj - wk) + dj"),
-        (transport._witness_loop, "c = (wj - wk) + p1", "c = (wk - wj) + p1"),
+        (transport._row_loop, "c = (wk - wj) + dj", "c = (wj - wk) + dj"),
         (transport._block, "c = w - wl[:, None]", "c = wl[:, None] - w"),
     ),
     "skip-truncation": (
@@ -38,9 +37,9 @@ _PATCHES = {
          "return dmat"),
     ),
     "skip-column-witnesses": (
-        (transport._witness_loop, "return max(rows, cols)", "return rows"),
         (transport.bottleneck_distance, "max(r12, r21)", "r12"),
-        (transport.measure_distances, "dmat = np.maximum(R, R.T)", "dmat = R"),
+        (transport.measure_distances, "dmat = np.maximum(R, R.T)",
+         "dmat = np.triu(R) + np.triu(R, 1).T"),
     ),
 }
 

@@ -144,11 +144,17 @@ def make_measure(ground: "FiniteMetricSpace", entries) -> IdempotentMeasure:
         raise NormalizationError(
             f"max weight is {top!r}, expected 0 (use renormalize to shift explicitly)"
         )
-    atoms = tuple(sorted(merged))
-    weights = tuple(
-        0.0 if (merged[a] == top or merged[a] > 0.0) else merged[a] for a in atoms
-    )
-    return IdempotentMeasure(ground, atoms, weights)
+    return _snapped(ground, merged)
+
+
+def _snapped(ground: "FiniteMetricSpace", merged: dict) -> IdempotentMeasure:
+    """The canonical measure of ``merged``, {atom index: weight} with its
+    largest weight within SNAP_TOL of 0: atoms sorted, the largest weight
+    and any weight above 0 snapped to exactly 0."""
+    top = max(merged.values())
+    atoms = sorted(merged)
+    return IdempotentMeasure(ground, tuple(atoms), tuple([
+        0.0 if (merged[a] == top or merged[a] > 0.0) else merged[a] for a in atoms]))
 
 
 def renormalize(ground: "FiniteMetricSpace", entries) -> IdempotentMeasure:

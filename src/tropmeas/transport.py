@@ -37,20 +37,21 @@ side.  d(x_l, x_k) is read from x_l's row, so the ground matrix must be
 exactly symmetric: :func:`~tropmeas.spaces.validate` enforces it at level
 0, and lifted matrices are mirrored.
 
-H is evaluated by one scalar double loop or one numpy sweep.  One rule
-picks the path of a :func:`measure_distances` call: when its count of new
-pairs times its largest support squared stays below
-``VECTOR_CELL_CUTOFF``, every pair takes the loop; otherwise the sweep
-gives R, for the rows of the new measures against every measure and of
+R is computed by the loop or the sweep; H = max(R, R^T).  One rule picks
+the path of a :func:`measure_distances` call: when its count of new pairs
+times its largest support squared stays below ``VECTOR_CELL_CUTOFF``,
+the loop gives R(i, j) and R(j, i) of every new pair; otherwise the sweep
+gives R for the rows of the new measures against every measure and of
 the old ones against the new ones (a known block is copied, never read).
 The sweep takes the row entries heaviest first, in blocks.  The columns
 at least as heavy as a block's heaviest row, its bulk, dominate all its
 rows: no mask, no abs, and in each column measure a prefix of the
 entries, so one ``np.minimum.reduceat`` gives rho by measure.  Only the
 tail, the few lighter columns its lightest row still reaches, is masked.
-:func:`bottleneck_distance` sweeps a pair of at least ``VECTOR_CELL_CUTOFF``
-cells, once per side.  Both paths do the same float operations on each
-witness cell, and min and max do no rounding: no bit depends on the path.
+:func:`bottleneck_distance` computes both sides of a pair by the sweep
+at ``VECTOR_CELL_CUTOFF`` cells or more, by the loop below.  Both paths
+do the same float operations on each witness cell, and min and max do
+no rounding: no bit depends on the path.
 
 :func:`bottleneck_distance_bruteforce` enumerates all support patterns
 with independent feasibility filtering and exists to keep this argument
@@ -157,11 +158,12 @@ def pattern_feasible(pattern, mu1: IdempotentMeasure, mu2: IdempotentMeasure) ->
 
 
 def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
-    """Min over couplings of the worst pair cost, via the witness bound.
+    """Min over couplings of the worst pair cost, via the witness bound:
+    H = max(R(mu1, mu2), R(mu2, mu1)).
 
     A pair of at least VECTOR_CELL_CUTOFF cells (support sizes multiplied)
-    takes the sweep, one for each side's row witnesses, a smaller one the
-    scalar loop; both give the same float, bit for bit.
+    computes each side's R by the sweep, a smaller one by the scalar loop;
+    both give the same float, bit for bit.
     """
     _same_space(mu1, mu2)
     if mu1.support_size * mu2.support_size >= VECTOR_CELL_CUTOFF:
@@ -169,18 +171,18 @@ def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float
         with np.errstate(over="ignore"):  # a cost past the float range is inf
             r12 = _sweep(*entries, mu1.ground.dist, (0, 1), (1, 2))[0, 0]
             r21 = _sweep(*entries, mu1.ground.dist, (1, 2), (0, 1))[0, 0]
-        return float(max(r12, r21))
-    return _witness_loop(mu1, mu2)
+    else:
+        r12, r21 = _row_loop(mu1, mu2), _row_loop(mu2, mu1)
+    return float(max(r12, r21))
 
 
-def _witness_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
-    w1, w2 = mu1.weights, mu2.weights
-    p1 = [mu1.ground._rows[a] for a in mu1.atoms]
-    a2 = mu2.atoms
-
-    rows = -math.inf
-    for j, wj in enumerate(w1):
-        dj = p1[j]
+def _row_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
+    """R(mu1, mu2) (see the module docstring) by a scalar double loop."""
+    w2, a2 = mu2.weights, mu2.atoms
+    rows = mu1.ground._rows
+    r = -math.inf
+    for wj, aj in zip(mu1.weights, mu1.atoms):
+        dj = rows[aj]
         m = math.inf
         for k, wk in enumerate(w2):
             if wk >= wj:
@@ -188,19 +190,9 @@ def _witness_loop(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float:
                 c = (wk - wj) + dj[a2[k]]
                 if c < m:
                     m = c
-        if m > rows:
-            rows = m
-    cols = -math.inf
-    for k, wk in enumerate(w2):
-        m = math.inf
-        for j, wj in enumerate(w1):
-            if wj >= wk:
-                c = (wj - wk) + p1[j][a2[k]]
-                if c < m:
-                    m = c
-        if m > cols:
-            cols = m
-    return max(rows, cols)
+        if m > r:
+            r = m
+    return r
 
 
 def _entries(measures):
@@ -266,8 +258,8 @@ def measure_distances(measures, known=None) -> np.ndarray:
     ``measures``, bit for bit; the measures must share one space.
     ``known``, the matrix of the first ``len(known)`` measures, is copied,
     not recomputed or read; a ``known`` that is not square, or larger than
-    the list, raises ValueError.  The loop computes a pair (i, j), i < j,
-    as its row side; the sweep's path is in the module docstring.
+    the list, raises ValueError.  The loop or the sweep (see the module
+    docstring) fills R, and the matrix is max(R, R^T), truncated.
     """
     n, old = len(measures), 0 if known is None else len(known)
     if known is not None and (np.shape(known) != (old, old) or old > n):
@@ -275,28 +267,25 @@ def measure_distances(measures, known=None) -> np.ndarray:
                          f"got shape {np.shape(known)}")
     for mu in measures:
         _same_space(measures[0], mu)
-    dmat = np.zeros((n, n))
+    R = np.zeros((n, n))
     if not n:
-        return dmat
+        return R
     pairs = n * (n - 1) // 2 - old * (old - 1) // 2
     if pairs * max(mu.support_size for mu in measures) ** 2 < VECTOR_CELL_CUTOFF:
         # too little work to pay for the sweep: every pair takes the loop
         for j in range(old, n):
             for i in range(j):
-                dmat[i, j] = _witness_loop(measures[i], measures[j])
+                R[i, j] = _row_loop(measures[i], measures[j])
+                R[j, i] = _row_loop(measures[j], measures[i])
     else:
         entries, dist = _entries(measures), measures[0].ground.dist
         with np.errstate(over="ignore"):  # a cost past the float range is inf
-            R = np.zeros((n, n))
             R[old:] = _sweep(*entries, dist, (old, n), (0, n))
             if old:
                 R[:old, old:] = _sweep(*entries, dist, (0, old), (old, n))
-        dmat = np.maximum(R, R.T)
-    # The loop writes above the diagonal only.  The sweep's R(i, i) is 0,
-    # whatever a gap costs: an entry is its own witness at cost 0, and the
-    # witnesses of a weight-0 entry cost their ground distance.
-    low = np.tri(n, k=-1, dtype=bool)
-    dmat[low] = dmat.T[low]
+    # R(i, i) is 0, whatever a gap costs: an entry is its own witness at
+    # cost 0, and the witnesses of a weight-0 entry cost their ground distance
+    dmat = np.maximum(R, R.T)
     if old:
         dmat[:old, :old] = known
     d = measures[0].ground.truncation_diam

@@ -297,8 +297,11 @@ def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng):
     .) is left out: where it would cut, the outer min gives diam anyway.
     All draws are scored in one numpy pass, whose array holds (n +
     sample_count) x n x support floats; the first least value is the worst
-    nu, and only it becomes a measure.
+    nu, and only it becomes a measure.  A negative ``sample_count`` raises
+    ValueError.
     """
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be at least 0, got {sample_count}")
     rng = _as_rng(rng)
     ground = mu.ground
     n = len(ground)

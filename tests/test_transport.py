@@ -314,10 +314,10 @@ def _exact_size_measure(space, size, rng):
 def blocks(monkeypatch):
     """Per call through ``blocks["call"]``: the blocks of rows the sweep
     computed, as (cells, masked tail columns, whether the block has several
-    rows and more cells than its budget), and the pairs the scalar loop
-    computed."""
+    rows and more cells than its budget), and the R entries the scalar
+    loop computed, two a pair."""
     seen = {"blocks": [], "loop": 0}
-    block, loop = transport._block, transport._witness_loop
+    block, loop = transport._block, transport._row_loop
 
     def counted_block(wl, d, w, seg, tail):
         over = len(wl) > 1 and d.size > transport._CHUNK_CELLS
@@ -333,7 +333,7 @@ def blocks(monkeypatch):
         return build(), seen["blocks"], seen["loop"]
 
     monkeypatch.setattr(transport, "_block", counted_block)
-    monkeypatch.setattr(transport, "_witness_loop", counted_loop)
+    monkeypatch.setattr(transport, "_row_loop", counted_loop)
     seen["call"] = call
     return seen
 
@@ -441,6 +441,41 @@ def test_lift_fill_bytes_are_pinned():
         "af702a9e51ce82d81e7817b62239377db69527e9c3e164f32c07873d5ff7d6b3")
 
 
+#: sha256 of each mutant's results below, recorded while the scalar loop
+#: still computed the column half as a second, transposed double loop.
+MUTANT_DIGESTS = {
+    "drop-cost-abs": "31511e5e6e442f74d4b50c13c11e1fdfd35bf6796d7290b364de76686afd6dd8",
+    "skip-column-witnesses": "f2788c1095fcffd58b6cdde827442af72183c6f4da5d8fbc728e471407e2d8bc",
+    "skip-truncation": "6b84b7ed320c82b03e2fd98cdd1c2d98807e4b03e2fd58b547847268f2f278c6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(defects.DEFECTS))
+def test_mutants_are_pinned(name):
+    # A refactor of the loop or the sweep must move no bit of a mutant
+    # either: small pairs and a small lift take the loop, large pairs and
+    # lifts of supports up to 64 the sweep.
+    rng = np.random.default_rng(34)
+    digest = hashlib.sha256()
+    with defects.inject(name):
+        for _ in range(200):
+            sp = tm.gen_space(int(rng.integers(3, 8)), rng)
+            m1, m2 = (tm.gen_measure(sp, int(rng.integers(1, 5)), rng) for _ in range(2))
+            digest.update(measure_distance(m1, m2).hex().encode())
+        sp = tm.gen_space(96, rng)
+        for _ in range(4):
+            m1, m2 = (tm.gen_measure(sp, 32, rng, min_support=16) for _ in range(2))
+            assert m1.support_size * m2.support_size >= VECTOR_CELL_CUTOFF
+            digest.update(measure_distance(m1, m2).hex().encode())
+        small = [tm.gen_measure(sp, 3, rng) for _ in range(7)]
+        assert 21 * 3 * 3 < VECTOR_CELL_CUTOFF
+        digest.update(tm.lift(sp, small).dist.tobytes())
+        big = [tm.gen_measure(sp, 64, rng) for _ in range(12)]
+        digest.update(tm.lift(sp, big).dist.tobytes())
+        digest.update(tm.lift_extend(tm.lift(sp, big[:5]), big[5:]).dist.tobytes())
+    assert digest.hexdigest() == MUTANT_DIGESTS[name]
+
+
 def test_a_large_support_lift_stays_within_its_memory():
     # One lift shaped like the benchmark's distance_matrix: 24 measures of
     # supports 16..256 on a 512-point space.  Its tracemalloc peak was
@@ -517,7 +552,7 @@ def test_lifted_finite_sets_are_at_their_hausdorff_distance(blocks):
         for _, swept_blocks, loop in check(sp, sizes):
             assert not swept_blocks
             looped += loop
-    assert looped > 200
+    assert looped > 400  # R entries, two a pair: more than 200 loop pairs
     with pytest.MonkeyPatch.context() as m:
         m.setattr(transport, "_CHUNK_CELLS", 256)
         sp = tm.gen_space(64, rng)

@@ -510,6 +510,18 @@ def test_lemma3_campaign_rejects_no_samples(sample_count):
     assert run_lemma3(cases=5, seed=0, sample_count=1).cases == 5
 
 
+def test_check_lemma3_rejects_a_negative_sample_count():
+    # -5 used to draw nothing and pass, as 0 does, with only the Diracs checked
+    sp = gen_space(4, np.random.default_rng(5))
+    mu = gen_measure(sp, 4, np.random.default_rng(6), min_support=2)
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="sample_count must be at least 0, got -5"):
+        check_lemma3(mu, -5, rng)
+    assert rng.bit_generator.state == before
+    assert check_lemma3(mu, 0, rng)[2] == 0.0
+
+
 def test_lemma2_campaign_rejects_negative_extras():
     # used to fail inside numpy with "high <= 0"
     with pytest.raises(ValueError, match="max_extras must be at least 0, got -1"):
