@@ -19,8 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .measures import (SNAP_TOL, FunctionOnSpace, IdempotentMeasure, _snapped, evaluate,
-                       pushforward)
+from .measures import (SNAP_TOL, FunctionOnSpace, IdempotentMeasure, _document, _snapped,
+                       evaluate, measure_to_term, pushforward)
 from .monad import flatten
 from .spaces import FiniteMetricSpace, _build, _restrict, validate
 from .transport import bottleneck_distance, bottleneck_distance_bruteforce
@@ -226,11 +226,7 @@ def parse_document(text: str) -> Document:
         for atoms, weights in members:
             if where is not None:
                 atoms = [where[k] for k in atoms]
-            merged = {}
-            for a, w in zip(atoms, weights):  # repeated points merge as in make_measure
-                if a not in merged or w > merged[a]:
-                    merged[a] = w
-            measures.append(_snapped(ground, merged))
+            measures.append(_snapped(ground, zip(atoms, weights)))
         built.append(measures)
     named = {}
     for name, term in raw_measures.items():
@@ -243,26 +239,8 @@ def parse_document(text: str) -> Document:
 # rendering
 
 
-def measure_to_term(mu: IdempotentMeasure) -> dict:
-    sup = []
-    for a, w in mu.entries():
-        if mu.ground.level == 0:
-            atom = mu.ground.labels[a]
-        else:
-            atom = measure_to_term(mu.ground.points[a])
-        sup.append({"atom": atom, "weight": w})
-    return {"support": sup}
-
-
 def document_to_text(doc: Document) -> str:
-    payload = {
-        "space": {
-            "points": list(doc.space.labels),
-            "dist": [list(row) for row in doc.space.dist.tolist()],
-        },
-        "measures": {name: measure_to_term(m) for name, m in doc.measures.items()},
-    }
-    return json.dumps(payload, indent=2)
+    return json.dumps(_document(doc.space, doc.measures), indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ __all__ = [
     "pushforward",
     "measures_close",
     "pointwise_max",
+    "measure_to_term",
 ]
 
 #: Tolerance for accepting (and snapping) a near-zero maximum weight.
@@ -124,7 +125,7 @@ def make_measure(ground: "FiniteMetricSpace", entries) -> IdempotentMeasure:
     anything farther from 0 is rejected rather than silently shifted --
     renormalization is the separate, explicit :func:`renormalize`.
     """
-    merged: dict[int, float] = {}
+    pairs, top = [], -math.inf
     for atom, w in entries:
         idx = _resolve_atom(ground, atom)
         w = float(w)
@@ -133,28 +134,27 @@ def make_measure(ground: "FiniteMetricSpace", entries) -> IdempotentMeasure:
                 f"non-finite weight {w!r} for atom {ground.labels[idx]!r}: "
                 "support weights must be finite"
             )
-        cur = merged.get(idx)
-        if cur is None or w > cur:
-            merged[idx] = w
-    if not merged:
+        pairs.append((idx, w))
+        if w > top:
+            top = w
+    if not pairs:
         raise ValueError("a measure needs at least one support atom")
-
-    top = max(merged.values())
     if abs(top) > SNAP_TOL:
         raise NormalizationError(
             f"max weight is {top!r}, expected 0 (use renormalize to shift explicitly)"
         )
-    return _snapped(ground, merged)
+    return _snapped(ground, pairs)
 
 
-def _snapped(ground: "FiniteMetricSpace", merged: dict) -> IdempotentMeasure:
-    """The canonical measure of ``merged``, {atom index: weight} with its
-    largest weight within SNAP_TOL of 0: atoms sorted, the largest weight
-    and any weight above 0 snapped to exactly 0."""
+def _snapped(ground: "FiniteMetricSpace", pairs) -> IdempotentMeasure:
+    """The canonical measure of ``pairs``, (atom index, weight) with the
+    largest weight within SNAP_TOL of 0: repeated atoms merged by max,
+    atoms sorted, the largest weight and any weight above 0 snapped to
+    exactly 0."""
+    merged = dict(sorted(pairs))  # by atom, then weight: each atom keeps its max
     top = max(merged.values())
-    atoms = sorted(merged)
-    return IdempotentMeasure(ground, tuple(atoms), tuple([
-        0.0 if (merged[a] == top or merged[a] > 0.0) else merged[a] for a in atoms]))
+    return IdempotentMeasure(ground, tuple(merged), tuple([
+        0.0 if (w == top or w > 0.0) else w for w in merged.values()]))
 
 
 def renormalize(ground: "FiniteMetricSpace", entries) -> IdempotentMeasure:
@@ -212,3 +212,19 @@ def measures_close(a: IdempotentMeasure, b: IdempotentMeasure, tol: float = 1e-9
     if a.ground is not b.ground or a.atoms != b.atoms:
         return False
     return all(abs(x - y) <= tol for x, y in zip(a.weights, b.weights))
+
+
+def measure_to_term(mu: IdempotentMeasure) -> dict:
+    """The document term of ``mu``: its entries as {"atom", "weight"}, an
+    atom being a point label at level 1 and a nested term above."""
+    ground = mu.ground
+    return {"support": [
+        {"atom": ground.labels[a] if ground.level == 0 else measure_to_term(ground.points[a]),
+         "weight": w} for a, w in mu.entries()]}
+
+
+def _document(space: "FiniteMetricSpace", measures: dict) -> dict:
+    """The document of ``space`` and the named ``measures``, {name: measure}
+    over ``space`` or a tower above it, as the CLI reads and writes it."""
+    return {"space": {"points": list(space.labels), "dist": space.dist.tolist()},
+            "measures": {name: measure_to_term(m) for name, m in measures.items()}}

@@ -89,9 +89,11 @@ class FiniteMetricSpace:
     They carry their points as measures and are not validated: their
     distances are computed, not user input.  Three views are cached
     properties, computed on first read: a lifted space's ``dist`` (a fill
-    that raises is not kept, and the next read starts again), ``_rows``,
-    the plain-float rows of ``dist`` for scalar lookups, and ``_index``,
-    from label to point.  ``dist`` is read-only on every space.
+    that raises is not kept, and the next read starts again; one that
+    returns is dropped, with its hold on the space it extends), ``_rows``,
+    the plain-float rows of ``dist`` for the scalar paths, so a space
+    only the sweep reads never builds them, and ``_index``, from label
+    to point.  ``dist`` is read-only on every space.
     """
 
     def __init__(self, labels, dist, *, check=True):

@@ -3,8 +3,11 @@
 Every campaign is one loop: one rng drawn from the seed, then per case a
 fresh random space and the campaign's own draws and comparisons, each
 recorded with the case index in one :class:`LemmaReport` holding every
-failure with its full inputs and both sides of the comparison.  Campaigns
-are reproducible: the same seed and parameters give the same report.
+failure with both sides of the comparison and the counterexample as a
+document, the CLI's format: its measures are named terms, so
+``tropmeas dist`` and the other commands replay both sides from it.
+Campaigns are reproducible: the same seed and parameters give the same
+report.
 
 The checks:
 
@@ -27,15 +30,16 @@ The checks:
   (draws, points, support) array; only the worst one becomes a measure.
 """
 
+import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .measures import IdempotentMeasure, dirac, evaluate, make_measure, pointwise_max
-from .measures import FunctionOnSpace
-from .monad import _as_rng, flatten, sample_flatten_preimage, unit
+from .measures import (FunctionOnSpace, IdempotentMeasure, _document, dirac, evaluate,
+                       make_measure, pointwise_max)
+from .monad import _as_rng, flatten, map_unit, sample_flatten_preimage, unit
 from .spaces import FiniteMetricSpace, lift, lift_extend
 from .transport import (
     ORACLE_CELL_LIMIT,
@@ -135,18 +139,15 @@ class LemmaReport:
         return "\n".join(lines)
 
 
-def _describe_space(space: FiniteMetricSpace) -> str:
-    rows = "; ".join(
-        " ".join(f"{v:.12g}" for v in row) for row in space.dist
-    )
-    return f"space(level {space.level}, labels {list(space.labels)}, dist [{rows}])"
-
-
-def _describe_measure(mu: IdempotentMeasure) -> str:
-    inner = ", ".join(
-        f"{mu.ground.labels[a]}: {w!r}" for a, w in mu.entries()
-    )
-    return "{" + inner + "}"
+def _case_document(space: FiniteMetricSpace, **named) -> str:
+    """A counterexample as a one-line CLI document over ``space``: each
+    measure of ``named`` becomes a named term that
+    :func:`tropmeas.cli.parse_document` reads back, and every other input
+    a top-level key of its own, which the parser ignores."""
+    measures = {k: v for k, v in named.items() if isinstance(v, IdempotentMeasure)}
+    doc = _document(space, measures)
+    doc.update((k, v) for k, v in named.items() if k not in measures)
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def gen_space(point_count: int, rng) -> FiniteMetricSpace:
@@ -212,7 +213,8 @@ def _axioms_case(space: FiniteMetricSpace, rng, record):
     phi = FunctionOnSpace(space, tuple(rng.uniform(-10, 10, size=n)))
     psi = FunctionOnSpace(space, tuple(rng.uniform(-10, 10, size=n)))
     c = float(rng.uniform(-10, 10))
-    mdesc = lambda: f"mu = {_describe_measure(mu)} over {_describe_space(space)}"
+    mdesc = lambda: _case_document(space, mu=mu, phi=dict(zip(space.labels, phi.values)),
+                                   psi=dict(zip(space.labels, psi.values)), c=c)
 
     const = FunctionOnSpace(space, (c,) * n)
     lhs = evaluate(mu, const)
@@ -234,10 +236,7 @@ def _axioms_case(space: FiniteMetricSpace, rng, record):
     d21 = measure_distance(m2, m1)
     d13 = measure_distance(m1, m3)
     d23 = measure_distance(m2, m3)
-    tdesc = lambda: (
-        f"m1 = {_describe_measure(m1)}, m2 = {_describe_measure(m2)}, "
-        f"m3 = {_describe_measure(m3)} over {_describe_space(space)}"
-    )
+    tdesc = lambda: _case_document(space, m1=m1, m2=m2, m3=m3)
     record("nonnegativity", d12, 0.0, 0.0 if d12 >= 0 else -d12, tdesc)
     record("symmetry", d12, d21, 0.0 if d12 == d21 else abs(d12 - d21), tdesc)
     record("self-distance", d11, 0.0, abs(d11), tdesc)
@@ -382,11 +381,8 @@ def run_oracle_equivalence(cases: int = 500, seed: int = 0,
         o = bottleneck_distance_bruteforce(m1, m2)
         gap = abs(h - o)
         violation = 0.0 if h == o else (gap if gap > 0 else math.inf)
-        record(
-            "oracle-equivalence", h, o, violation,
-            lambda: f"m1 = {_describe_measure(m1)}, m2 = {_describe_measure(m2)} "
-            f"over {_describe_space(space)}",
-        )
+        record("oracle-equivalence", h, o, violation,
+               lambda: _case_document(space, m1=m1, m2=m2))
     return _campaign("oracle", cases, seed, tol, space_size, case)
 
 
@@ -401,12 +397,8 @@ def run_lemma1(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
         M1 = gen_measure(lifted, 3, rng)
         M2 = gen_measure(lifted, 3, rng)
         lhs, rhs, violation = check_lemma1(M1, M2)
-        record(
-            "non-expansion", lhs, rhs, violation,
-            lambda: f"M1 = {_describe_measure(M1)}, M2 = {_describe_measure(M2)}, "
-            f"inner points = {[_describe_measure(p) for p in lifted.points]} "
-            f"over {_describe_space(space)}",
-        )
+        record("non-expansion", lhs, rhs, violation,
+               lambda: _case_document(space, M1=M1, M2=M2))
     return _campaign("lemma1", cases, seed, tol, space_size, case)
 
 
@@ -423,14 +415,9 @@ def run_lemma2(cases: int = 500, seed: int = 0, tol: float = CAMPAIGN_TOL,
         s = int(rng.integers(1, mu.support_size + 1))
         extras = int(rng.integers(0, max_extras + 1))
         lhs, rhs, gap, N = check_lemma2(mu, x0, s, extras, rng)
-        record(
-            "preimage-dirac-distance", lhs, rhs, gap,
-            lambda: f"mu = {_describe_measure(mu)}, x0 = {space.labels[x0]}, "
-            f"groups = {s}, extras = {extras}, "
-            f"N = {_describe_measure(N)} with atoms "
-            f"{[_describe_measure(p) for p in N.ground.points]} "
-            f"over {_describe_space(space)}",
-        )
+        record("preimage-dirac-distance", lhs, rhs, gap,
+               lambda: _case_document(space, mu=mu, x0=dirac(space, x0), N=N,
+                                      unit_x0=unit(dirac(space, x0))))
     return _campaign("lemma2", cases, seed, tol, space_size, case)
 
 
@@ -445,10 +432,7 @@ def run_lemma3(cases: int = 100, seed: int = 0, tol: float = CAMPAIGN_TOL,
     def case(space, rng, record):
         mu = gen_measure(space, 4, rng, min_support=2)
         eps, worst, violation, worst_nu = check_lemma3(mu, sample_count, rng)
-        record(
-            "unit-separation", eps, worst, violation,
-            lambda: f"mu = {_describe_measure(mu)}, eps = {eps!r}, "
-            f"worst nu = {_describe_measure(worst_nu)} "
-            f"over {_describe_space(space)}",
-        )
+        record("unit-separation", eps, worst, violation,
+               lambda: _case_document(space, mu=mu, worst_nu=worst_nu,
+                                      pushed=map_unit(mu), unit_nu=unit(worst_nu)))
     return _campaign("lemma3", cases, seed, tol, space_size, case)

@@ -10,8 +10,11 @@ import pytest
 
 import tropmeas as tm
 from tropmeas import defects, transport, verify
+from tropmeas.cli import parse_document
+from tropmeas.measures import FunctionOnSpace, evaluate, pointwise_max
 from tropmeas.monad import flatten, unit
 from tropmeas.spaces import lift, validate
+from tropmeas.transport import measure_distance
 from tropmeas.verify import (
     CAMPAIGN_TOL,
     LemmaReport,
@@ -346,6 +349,52 @@ def test_record_describes_only_failures():
     assert report.failures[0].description == "broken"
 
 
+#: check -> its two sides, recomputed by library calls from the named
+#: measures ``m`` of its counterexample document and the document ``raw``
+REPLAY = {
+    "constants": lambda m, raw: (
+        evaluate(m["mu"], FunctionOnSpace(m["mu"].ground, (raw["c"],) * len(m["mu"].ground))),
+        raw["c"]),
+    "shift": lambda m, raw: (evaluate(m["mu"], _function(m, raw, "phi").shift(raw["c"])),
+                             evaluate(m["mu"], _function(m, raw, "phi")) + raw["c"]),
+    "max": lambda m, raw: (
+        evaluate(m["mu"], pointwise_max(_function(m, raw, "phi"), _function(m, raw, "psi"))),
+        max(evaluate(m["mu"], _function(m, raw, k)) for k in ("phi", "psi"))),
+    "nonnegativity": lambda m, raw: (measure_distance(m["m1"], m["m2"]), 0.0),
+    "symmetry": lambda m, raw: (measure_distance(m["m1"], m["m2"]),
+                                measure_distance(m["m2"], m["m1"])),
+    "self-distance": lambda m, raw: (measure_distance(m["m1"], m["m1"]), 0.0),
+    "identity-of-indiscernibles": lambda m, raw: (measure_distance(m["m1"], m["m2"]), 0.0),
+    "triangle": lambda m, raw: (measure_distance(m["m1"], m["m3"]),
+                                measure_distance(m["m1"], m["m2"])
+                                + measure_distance(m["m2"], m["m3"])),
+    "diameter-bound": lambda m, raw: (measure_distance(m["m1"], m["m2"]),
+                                      m["m1"].ground.truncation_diam),
+    "oracle-equivalence": lambda m, raw: (tm.bottleneck_distance(m["m1"], m["m2"]),
+                                          tm.bottleneck_distance_bruteforce(m["m1"], m["m2"])),
+    "non-expansion": lambda m, raw: (measure_distance(flatten(m["M1"]), flatten(m["M2"])),
+                                     measure_distance(m["M1"], m["M2"])),
+    "preimage-dirac-distance": lambda m, raw: (measure_distance(m["mu"], m["x0"]),
+                                               measure_distance(m["unit_x0"], m["N"])),
+    "unit-separation": lambda m, raw: (tm.distance_to_diracs(m["mu"]),
+                                       measure_distance(m["pushed"], m["unit_nu"])),
+}
+
+
+def _function(m, raw, key):
+    return FunctionOnSpace.from_mapping(m["mu"].ground, raw[key])
+
+
+#: The checks of one axioms case, in the order the case records them.
+AXIOM_CHECKS = ("constants", "shift", "max", "nonnegativity", "symmetry", "self-distance",
+                "identity-of-indiscernibles", "triangle", "diameter-bound")
+
+#: campaign -> the checks it records; with tol -1 each fails in every case
+CAMPAIGN_CHECKS = {run_oracle_equivalence: {"oracle-equivalence"},
+                   run_axioms: set(AXIOM_CHECKS), run_lemma1: {"non-expansion"},
+                   run_lemma2: {"preimage-dirac-distance"}, run_lemma3: {"unit-separation"}}
+
+
 @pytest.mark.parametrize("campaign, cases, tol", [
     (run_oracle_equivalence, 40, 0.0),
     (run_axioms, 40, CAMPAIGN_TOL),
@@ -354,22 +403,26 @@ def test_record_describes_only_failures():
     (run_lemma3, 10, CAMPAIGN_TOL),
     (run_axioms, 5, -1.0),
     (run_lemma3, 5, -1.0),
+    (run_oracle_equivalence, 5, -1.0),
+    (run_lemma1, 5, -1.0),
+    (run_lemma2, 5, -1.0),
 ])
 def test_campaigns_describe_each_failure_once(campaign, cases, tol, monkeypatch):
-    # every counterexample names its space once; passing cases name none
-    described = []
-    describe_space = verify._describe_space
-    monkeypatch.setattr(verify, "_describe_space",
-                        lambda space: described.append(space) or describe_space(space))
+    # every counterexample is one document, built once; passing cases build
+    # none.  The document parses, and its measures give both sides bitwise.
+    documents = []
+    case_document = verify._case_document
+    monkeypatch.setattr(verify, "_case_document",
+                        lambda space, **named: documents.append(space)
+                        or case_document(space, **named))
     report = campaign(cases=cases, seed=0, tol=tol)
-    assert len(described) == len(report.failures)
-    assert all(describe_space(space) in f.description
-               for f, space in zip(report.failures, described))
-
-
-#: The checks of one axioms case, in the order the case records them.
-AXIOM_CHECKS = ("constants", "shift", "max", "nonnegativity", "symmetry", "self-distance",
-                "identity-of-indiscernibles", "triangle", "diameter-bound")
+    assert len(documents) == len(report.failures)
+    if tol < 0:
+        assert {f.check for f in report.failures} == CAMPAIGN_CHECKS[campaign]
+    for f in report.failures:
+        doc = parse_document(f.description)
+        lhs, rhs = REPLAY[f.check](doc.measures, json.loads(f.description))
+        assert (lhs.hex(), rhs.hex()) == (f.lhs.hex(), f.rhs.hex()), f.check
 
 
 def test_axioms_failures_come_in_case_and_check_order():
