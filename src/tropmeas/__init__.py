@@ -52,7 +52,6 @@ from .transport import (
 from .verify import (
     CaseFailure,
     LemmaReport,
-    check_axioms,
     check_lemma1,
     check_lemma2,
     check_lemma3,

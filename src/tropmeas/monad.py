@@ -44,12 +44,6 @@ __all__ = [
 ]
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def lift_function(phi: FunctionOnSpace, lifted: FiniteMetricSpace) -> FunctionOnSpace:
     """The function on a lifted space whose value at a measure-point mu is
     evaluate(mu, phi)."""
@@ -147,7 +141,7 @@ def sample_flatten_preimage(mu: IdempotentMeasure, group_count: int, rng,
     keeps every recombination maximum untouched.  Deterministic given
     (rng seed, group_count, extras).
     """
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     n = mu.support_size
     if not 1 <= group_count <= n:
         raise ValueError(

@@ -1,13 +1,14 @@
 """Randomized verification campaigns for the metric and monad properties.
 
-Every campaign is one loop: one rng drawn from the seed, then per case a
-fresh random space and the campaign's own draws and comparisons, each
-recorded with the case index in one :class:`LemmaReport` holding every
-failure with both sides of the comparison and the counterexample as a
-document, the CLI's format: its measures are named terms, so
-``tropmeas dist`` and the other commands replay both sides from it.
-Campaigns are reproducible: the same seed and parameters give the same
-report.
+Every campaign is a ``run_*`` with one shape: from an integer seed, one
+rng, then per case a fresh random space of ``space_size`` points (3-6 if
+none is given) and the campaign's own draws and comparisons, each
+recorded with the case index in one :class:`LemmaReport`.  The report
+keeps the seed and every failure with both sides of the comparison and
+the counterexample as a document, the CLI's format: its measures are
+named terms, so ``tropmeas dist`` and the other commands replay both
+sides from it.  The same seed and parameters give the same report.  A
+``check_*`` checks one case.
 
 The checks:
 
@@ -25,9 +26,6 @@ The checks:
 * ``lemma3``   -- if mu is at distance >= eps from every Dirac, then its
   unit-pushforward stays that far from every lifted Dirac, a distance
   taken in closed form: the coupling with a Dirac is unique, so it is exact.
-  Its samples are drawn by the helper behind :func:`gen_measure`, as plain
-  atoms and weights, and scored with the Diracs in one numpy pass over a
-  (draws, points, support) array; only the worst one becomes a measure.
 """
 
 import json
@@ -39,7 +37,7 @@ import numpy as np
 
 from .measures import (FunctionOnSpace, IdempotentMeasure, _document, dirac, evaluate,
                        make_measure, pointwise_max)
-from .monad import _as_rng, flatten, map_unit, sample_flatten_preimage, unit
+from .monad import flatten, map_unit, sample_flatten_preimage, unit
 from .spaces import FiniteMetricSpace, lift, lift_extend
 from .transport import (
     ORACLE_CELL_LIMIT,
@@ -54,7 +52,6 @@ __all__ = [
     "LemmaReport",
     "gen_space",
     "gen_measure",
-    "check_axioms",
     "check_lemma1",
     "check_lemma2",
     "check_lemma3",
@@ -95,7 +92,7 @@ class LemmaReport:
     check: str
     cases: int
     tolerance: float
-    seed: int | None
+    seed: int
     failures: list[CaseFailure] = field(default_factory=list)
     max_violation: float = 0.0
 
@@ -104,16 +101,14 @@ class LemmaReport:
         return not self.failures
 
     def record(self, index: int, check: str, lhs: float, rhs: float,
-               violation: float, description):
-        """Note one case.  ``description`` is the counterexample text or a
-        zero-argument callable returning it, called only for a failure."""
+               violation: float, describe):
+        """Note one case.  ``describe`` is a zero-argument callable
+        returning the counterexample text, called only for a failure."""
         if violation > self.max_violation:
             self.max_violation = violation
         if violation > self.tolerance:
-            if callable(description):
-                description = description()
             self.failures.append(
-                CaseFailure(index, check, lhs, rhs, violation, description)
+                CaseFailure(index, check, lhs, rhs, violation, describe())
             )
 
     def to_dict(self) -> dict:
@@ -154,7 +149,7 @@ def gen_space(point_count: int, rng) -> FiniteMetricSpace:
     """A random finite metric space: shortest-path closure of a random
     symmetric weight matrix, uniform in [0.1, 2.0).  Produces varied
     geometries, including tight path-like triangles."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     n = int(point_count)
     if n < 1:
         raise ValueError("need at least one point")
@@ -194,7 +189,7 @@ def gen_measure(space: FiniteMetricSpace, max_support: int, rng, *,
     """A random normalized measure: uniform support subset, weights uniform
     in [-weight_span, 0] with one entry forced to exactly 0.  The span
     defaults to twice the diameter (see :func:`_weight_span`)."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     n = len(space)
     max_support = min(int(max_support), n)
     if not 1 <= min_support <= max_support:
@@ -247,13 +242,6 @@ def _axioms_case(space: FiniteMetricSpace, rng, record):
     record("diameter-bound", d12, diam, max(0.0, d12 - diam), tdesc)
 
 
-def check_axioms(space: FiniteMetricSpace, cases: int, seed,
-                 tol: float = CAMPAIGN_TOL) -> LemmaReport:
-    """Functional axioms of evaluation and metric axioms of the distance,
-    on random data over one fixed space."""
-    return _campaign("axioms", cases, seed, tol, space, _axioms_case)
-
-
 def check_lemma1(M1: IdempotentMeasure, M2: IdempotentMeasure):
     """(lhs, rhs, violation) for one non-expansion case: rhs is the level-2
     distance, lhs the distance of the flattens; violation is lhs - rhs."""
@@ -301,7 +289,7 @@ def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng):
     """
     if sample_count < 0:
         raise ValueError(f"sample_count must be at least 0, got {sample_count}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     ground = mu.ground
     n = len(ground)
     diam = ground.truncation_diam
@@ -325,37 +313,35 @@ def check_lemma3(mu: IdempotentMeasure, sample_count: int, rng):
 # campaign drivers
 
 
-def _campaign(check: str, cases: int, seed, tol: float, space, case) -> LemmaReport:
-    """The one campaign loop: an rng from ``seed``, then per case a space
-    and ``case(space, rng, record)``, where ``record`` is
-    :meth:`LemmaReport.record` with the case index bound.  ``space`` is a
-    fixed :class:`FiniteMetricSpace`, or the point count of a fresh random
-    space per case (None: 3-6 points, drawn per case), at least
-    MIN_SPACE_SIZE.  The report keeps an integer seed; a Generator passed
-    as ``seed`` is reported as None."""
-    fixed = isinstance(space, FiniteMetricSpace)
-    if not fixed and space is not None and space < MIN_SPACE_SIZE:
+def _campaign(check: str, cases: int, seed: int, tol: float, space, case) -> LemmaReport:
+    """The one campaign loop: an rng from the integer ``seed``, which the
+    report keeps, then per case a fresh random space of ``space`` points
+    (None: 3-6, drawn per case), at least MIN_SPACE_SIZE, and
+    ``case(space, rng, record)``, where ``record`` is
+    :meth:`LemmaReport.record` with the case index bound.  A seed that is
+    no integer, such as a Generator or None, which no report could
+    replay, raises TypeError before any case runs."""
+    if space is not None and space < MIN_SPACE_SIZE:
         raise ValueError(
             f"space_size must be at least {MIN_SPACE_SIZE}, got {space}")
-    # with no case, or a NaN tol that no violation exceeds, a campaign
-    # would pass with nothing checked
+    # with no case, or a tol that no violation exceeds, a campaign would
+    # pass with nothing checked
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
-    rng = _as_rng(seed)
-    report = LemmaReport(check, cases, tol,
-                         int(seed) if isinstance(seed, (int, np.integer)) else None)
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
+    rng = np.random.default_rng(seed)
+    report = LemmaReport(check, cases, tol, int(seed))
     for i in range(cases):
-        ground = space if fixed else gen_space(
-            rng.integers(3, 7) if space is None else space, rng)
+        ground = gen_space(rng.integers(3, 7) if space is None else space, rng)
         case(ground, rng, partial(report.record, i))
     return report
 
 
 def run_axioms(cases: int = 1000, seed: int = 0, tol: float = CAMPAIGN_TOL,
                space_size: int | None = None) -> LemmaReport:
-    """Axioms over a fresh random space per case."""
+    """Functional axioms of evaluation and metric axioms of the distance,
+    over a fresh random space per case."""
     return _campaign("axioms", cases, seed, tol, space_size, _axioms_case)
 
 

@@ -18,7 +18,6 @@ from tropmeas.transport import measure_distance
 from tropmeas.verify import (
     CAMPAIGN_TOL,
     LemmaReport,
-    check_axioms,
     check_lemma1,
     check_lemma2,
     check_lemma3,
@@ -304,13 +303,6 @@ def test_check_lemma3_outcome_fields():
     assert worst_nu is not None
 
 
-def test_check_axioms_on_fixed_space():
-    sp = gen_space(5, np.random.default_rng(8))
-    report = check_axioms(sp, 100, 123)
-    assert report.passed
-    assert report.max_violation <= 1e-12
-
-
 def test_campaigns_are_reproducible():
     a = run_lemma2(cases=40, seed=77)
     b = run_lemma2(cases=40, seed=77)
@@ -322,9 +314,9 @@ def test_campaigns_are_reproducible():
 
 def test_report_invariant_and_serialization():
     report = LemmaReport("demo", 2, 1e-9, 0)
-    report.record(0, "check", 1.0, 1.0, 0.0, "fine")
+    report.record(0, "check", 1.0, 1.0, 0.0, lambda: "fine")
     assert report.passed == (report.max_violation <= report.tolerance)
-    report.record(1, "check", 2.0, 1.0, 1.0, "broken")
+    report.record(1, "check", 2.0, 1.0, 1.0, lambda: "broken")
     assert not report.passed
     assert report.max_violation == 1.0
     d = report.to_dict()
@@ -429,13 +421,10 @@ def test_axioms_failures_come_in_case_and_check_order():
     # with tol -1 every record is a failure, so the failures list every
     # check of every case, in case order and in the case's fixed check
     # order (these seeds draw m1 != m2, so identity-of-indiscernibles runs)
-    sp = gen_space(5, np.random.default_rng(8))
-    reports = [run_axioms(cases=3, seed=11, tol=-1),
-               check_axioms(sp, 3, np.random.default_rng(1), tol=-1)]
-    assert reports[0].seed == 11 and reports[1].seed is None
-    for report in reports:
-        assert [(f.index, f.check) for f in report.failures] == [
-            (i, check) for i in range(3) for check in AXIOM_CHECKS]
+    report = run_axioms(cases=3, seed=11, tol=-1)
+    assert report.seed == 11
+    assert [(f.index, f.check) for f in report.failures] == [
+        (i, check) for i in range(3) for check in AXIOM_CHECKS]
 
 
 def test_a_numpy_integer_seed_is_reported_as_an_int():
@@ -444,6 +433,15 @@ def test_a_numpy_integer_seed_is_reported_as_an_int():
     assert type(report.seed) is int
     assert json.loads(json.dumps(report.to_dict())) == run_oracle_equivalence(
         cases=2, seed=3).to_dict()
+    # a Generator or None has no integer to report, so no report could
+    # replay the run; every campaign refuses it before any draw
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    for runner in (run_oracle_equivalence, run_axioms, run_lemma1, run_lemma2, run_lemma3):
+        for seed in (rng, None):
+            with pytest.raises(TypeError):
+                runner(cases=2, seed=seed)
+    assert rng.bit_generator.state == before
 
 
 def test_oracle_campaign_small():
@@ -585,15 +583,15 @@ def test_lemma2_campaign_rejects_negative_extras():
 @pytest.mark.parametrize("bad, match", [
     ({"cases": 0}, "cases must be at least 1, got 0"),
     ({"cases": -5}, "cases must be at least 1, got -5"),
-    ({"tol": float("nan")}, "tol must not be NaN"),
+    pytest.param({"tol": math.nan}, "tol must be finite", id="bad2-tol must not be NaN"),
+    pytest.param({"tol": math.inf}, "tol must be finite", id="bad3-tol must not be inf"),
 ])
 @pytest.mark.parametrize("runner", [
-    run_oracle_equivalence, run_axioms, run_lemma1, run_lemma2, run_lemma3,
-    lambda **kw: check_axioms(gen_space(4, np.random.default_rng(3)), **kw)],
-    ids=["oracle", "axioms", "lemma1", "lemma2", "lemma3", "check_axioms"])
+    run_oracle_equivalence, run_axioms, run_lemma1, run_lemma2, run_lemma3],
+    ids=["oracle", "axioms", "lemma1", "lemma2", "lemma3"])
 def test_campaigns_reject_settings_that_check_nothing(runner, bad, match):
-    # no case, or a NaN tol that no violation exceeds, would pass unchecked;
-    # a negative tol stays legal and fails every case
+    # no case, or a tol that no violation exceeds (NaN or inf), would pass
+    # unchecked; a negative tol stays legal and fails every case
     args = {"cases": 3, "seed": 0, "tol": CAMPAIGN_TOL, **bad}
     with pytest.raises(ValueError, match=match):
         runner(**args)
