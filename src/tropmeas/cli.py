@@ -370,7 +370,10 @@ _CAMPAIGNS = {
     "lemma3": run_lemma3,
 }
 
-#: Largest --space-size, so that the n x n distance matrix fits in memory.
+#: Largest --space-size.  Every case builds and validates its own space in
+#: time cubic in the count (see the option's help); its memory stays a few
+#: n x n matrices (21 MB at the peak at 1024), as both cubic loops work in
+#: row blocks through a small buffer.
 MAX_SPACE_SIZE = 1024
 
 
@@ -444,7 +447,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--space-size", type=int, default=None,
                    help="fixed point count, 2 to 1024 (default: random 3-6 per "
                         "case); every case builds its own space in time cubic in "
-                        "the count: about 0.07 s at 256 points, 7 s at 1024")
+                        "the count: about 0.06-0.09 s at 256 points, 3.3-4 s at "
+                        "1024 on a 2-vCPU Xeon VM")
     p.add_argument("--cases", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)

@@ -63,6 +63,12 @@ __all__ = [
 #: Slack allowed when checking the triangle inequality on float input.
 TRIANGLE_TOL = 1e-9
 
+#: Rows per block and cells per buffer of :func:`validate`'s triangle scan:
+#: a block's buffer (512 KB) stays in cache, and a space of up to 64
+#: points is one block, with all of its k in one buffer up to 40 points.
+_SCAN_ROWS = 64
+_SCAN_CELLS = 2**16
+
 
 class InvalidSpaceError(ValueError):
     """Raised when a distance matrix fails the metric axioms."""
@@ -103,7 +109,10 @@ class FiniteMetricSpace:
             raise InvalidSpaceError("a space needs at least one point")
         if len(set(labels)) != n:
             raise InvalidSpaceError("point labels must be distinct")
-        d = np.array(dist, dtype=float)
+        try:
+            d = np.array(dist, dtype=float)
+        except ValueError as e:  # ragged rows, or an entry that is not a number
+            raise InvalidSpaceError(f"distance matrix must be {n}x{n} numbers: {e}") from None
         if d.shape != (n, n):
             raise InvalidSpaceError(
                 f"distance matrix must be {n}x{n}, got shape {d.shape}"
@@ -183,7 +192,8 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
             "zero-diagonal", f"nonzero self-distance {float(d[i, i])!r} at {labels[i]}"
         )
 
-    offdiag_zero = (d == 0) & ~np.eye(n, dtype=bool)
+    offdiag_zero = d == 0
+    offdiag_zero.flat[::n + 1] = False
     if offdiag_zero.any():
         i, j = np.argwhere(offdiag_zero)[0]
         return MetricViolation(
@@ -191,25 +201,40 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
             f"distinct points {labels[i]} and {labels[j]} are at distance 0",
         )
 
-    # excess[k, i, j] = d(i, j) - (d(i, k) + d(k, j)) for a chunk of k in one
-    # reused buffer; argwhere's row-major order finds the first k, i, then j.
-    # A sum past the float range is inf, as in scalar arithmetic, and
-    # violates nothing.
-    step = max(1, 2**16 // (n * n))
-    buf = np.empty((min(step, n), n, n))
+    # excess[k, i, j] = d(i, j) - (d(i, k) + d(k, j)) for a block of
+    # _SCAN_ROWS rows i and a chunk of k, in the block's one reused buffer
+    # of at most _SCAN_CELLS cells (or of one k, if a block is larger);
+    # argwhere's row-major order finds a chunk's first k, i, then j.  d is
+    # symmetric by now, so excess is symmetric in i and j, float for float.
+    # A later block scans only the k below the first violation found so
+    # far (at an equal k an earlier row comes first); at those k no earlier
+    # row violates anything, so a violating row of the block has its
+    # partners j at or past the block's first row, and the block reads only
+    # those columns.  A sum past the float range is inf, as in scalar
+    # arithmetic, and violates nothing.
+    found, stop = None, n
     with np.errstate(over="ignore"):
-        for k0 in range(0, n, step):
-            excess = buf[:min(step, n - k0)]
-            np.add(d[:, k0:k0 + step].T[:, :, None], d[k0:k0 + step, None, :], out=excess)
-            np.subtract(d, excess, out=excess)
-            if (excess > TRIANGLE_TOL).any():
-                k, i, j = np.argwhere(excess > TRIANGLE_TOL)[0]
-                k += k0
-                return MetricViolation(
-                    "triangle",
-                    f"triangle violation: d({labels[i]}, {labels[j]}) = {float(d[i, j])!r} "
-                    f"> d via {labels[k]} = {float(d[i, k] + d[k, j])!r}",
-                )
+        for i0 in range(0, n, _SCAN_ROWS):
+            rows = d[i0:i0 + _SCAN_ROWS, i0:]
+            r, c = rows.shape
+            step = max(1, _SCAN_CELLS // (r * c))
+            buf = np.empty((min(step, stop), r, c))
+            for k0 in range(0, stop, step):
+                k1 = min(k0 + step, stop)
+                excess = buf[:k1 - k0]
+                np.add(d[i0:i0 + r, k0:k1].T[:, :, None], d[k0:k1, None, i0:], out=excess)
+                np.subtract(rows, excess, out=excess)
+                if (excess > TRIANGLE_TOL).any():
+                    k, i, j = np.argwhere(excess > TRIANGLE_TOL)[0]
+                    found, stop = (k0 + k, i0 + i, i0 + j), k0 + k
+                    break
+    if found is not None:
+        k, i, j = found
+        return MetricViolation(
+            "triangle",
+            f"triangle violation: d({labels[i]}, {labels[j]}) = {float(d[i, j])!r} "
+            f"> d via {labels[k]} = {float(d[i, k] + d[k, j])!r}",
+        )
 
     if space.truncation_diam < d.max():
         return MetricViolation(

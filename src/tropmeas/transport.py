@@ -58,6 +58,17 @@ one addition, and min and max do no rounding: no bit depends on the path.
 with independent feasibility filtering and exists to keep this argument
 honest in tests; :func:`bottleneck_distance_threshold`, a threshold
 search, does the same at supports the enumeration cannot reach.
+
+The metric does not metrize the weak topology: the pair cost charges a
+weight gap in full, however far below the maximum the atom lies.  On the
+path a-b-c (distances 1, 1 and 2), let mu_t = {a: -t, b: 0}.  For t >= 3
+every phi with values in [-1, 1] evaluates mu_t and delta_b alike, so
+mu_t tends to delta_b in the weak (evaluation) topology, yet
+H(mu_t, delta_b) = t + 1 and rho(mu_t, delta_b) stays at the diameter 2.
+The measures mu_2, mu_4, ..., mu_10 are pairwise at rho 2, so I(X) under
+rho is not compact, as the weak topology on a compactum would make it.
+And a map that moves points by at most 1 can move a measure by more: the
+retraction a, b -> a, c -> c sends {a: -1.5, b: 0} to delta_a at rho 1.5.
 """
 
 import math

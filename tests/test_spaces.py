@@ -10,6 +10,8 @@ from tropmeas.spaces import (
     InvalidSpaceError,
     MetricViolation,
     TRIANGLE_TOL,
+    _SCAN_CELLS,
+    _SCAN_ROWS,
     _build,
     index_of_measure,
     lift,
@@ -87,21 +89,29 @@ def _first_triangle_violation(d, labels):
         excess = d - (d[:, [k]] + d[[k], :])
         if (excess > TRIANGLE_TOL).any():
             i, j = np.argwhere(excess > TRIANGLE_TOL)[0]
-            return k, MetricViolation(
+            return k, i, MetricViolation(
                 "triangle",
                 f"triangle violation: d({labels[i]}, {labels[j]}) = {float(d[i, j])!r} "
                 f"> d via {labels[k]} = {float(d[i, k] + d[k, j])!r}",
             )
-    return None, None
+    return None, None, None
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 20, 50, 130])
+def _first_k_chunk(n, i):
+    # the k of validate's first chunk in the block holding row i
+    i0 = i - i % _SCAN_ROWS
+    return max(1, _SCAN_CELLS // (min(_SCAN_ROWS, n - i0) * (n - i0)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 20, 50, 130, 300])
 def test_validate_triangle_matches_per_k_loop(n):
-    # up to 20 points all k fit one chunk of 2**16 cells; 50 and 130 take several
+    # up to 64 points the scan is one block of rows, and up to 20 points all
+    # k fit its first chunk; 50 takes several chunks, 130 and 300 several
+    # blocks of rows, each with several chunks
     rng = np.random.default_rng(n)
     labels = [f"p{i}" for i in range(n)]
-    first_ks = []
-    for trial in range(15 if n < 100 else 6):
+    firsts = []
+    for trial in range(15):
         w = np.triu(rng.uniform(0.1, 2.0, size=(n, n)), 1)
         d = w + w.T
         if trial % 3:
@@ -110,13 +120,38 @@ def test_validate_triangle_matches_per_k_loop(n):
                 np.minimum(d, d[:, [k]] + d[[k], :], out=d)
             i, j = rng.choice(n, size=2, replace=False)
             d[i, j] = d[j, i] = d[i, j] + rng.uniform(0.0, 0.3)
-        k, expected = _first_triangle_violation(d, labels)
+        k, i, expected = _first_triangle_violation(d, labels)
         assert validate(FiniteMetricSpace(labels, d, check=False)) == expected
-        first_ks.append(k)
+        if k is not None:
+            firsts.append((k, i))
     # two points always form a metric
-    assert any(k is not None for k in first_ks) == (n > 2)
+    assert bool(firsts) == (n > 2)
     if n >= 50:
-        assert max(k for k in first_ks if k is not None) >= 2**16 // n**2
+        # some first violation lies past the first chunk of k of its block
+        assert any(k >= _first_k_chunk(n, i) for k, i in firsts)
+    if n > _SCAN_ROWS:
+        # and some lies in a block of rows after the first
+        assert any(i >= _SCAN_ROWS for k, i in firsts)
+
+
+@pytest.mark.parametrize("later_k", [100, 200, 260])
+def test_validate_orders_violations_across_row_blocks(later_k):
+    # On 300 points d(p0, p1) first breaks at k = 200, in the first block of
+    # rows, and d(p250, p251) first at k = later_k, in the fourth.  The scan
+    # reports the smaller k, and at an equal k the smaller row.
+    n = 300
+    d = np.ones((n, n))
+    d[0, 2:200] = d[2:200, 0] = 2.0
+    d[0, 1] = d[1, 0] = 3.0             # only k >= 200 shortens d(p0, p1)
+    d[250, :later_k] = d[:later_k, 250] = 2.0
+    d[250, 251] = d[251, 250] = 3.0     # only k >= later_k shortens d(p250, p251)
+    np.fill_diagonal(d, 0.0)
+    labels = [f"p{i}" for i in range(n)]
+    v = validate(FiniteMetricSpace(labels, d, check=False))
+    k, i, expected = _first_triangle_violation(d, labels)
+    assert v == expected
+    assert (k, i) == ((100, 250) if later_k < 200 else (200, 0))
+    assert 250 // _SCAN_ROWS > 0  # p250's block of rows comes after p0's
 
 
 def test_validate_reports_the_first_violation_past_a_small_chunk():
@@ -133,7 +168,7 @@ def test_validate_reports_the_first_violation_past_a_small_chunk():
     v = validate(FiniteMetricSpace(labels, d, check=False))
     assert v == MetricViolation(
         "triangle", "triangle violation: d(p60, p61) = 3.0 > d via p5 = 2.0")
-    assert _first_triangle_violation(d, labels) == (5, v)
+    assert _first_triangle_violation(d, labels) == (5, 60, v)
 
 
 def test_constructor_rejects_invalid_level0():
@@ -145,6 +180,12 @@ def test_constructor_rejects_invalid_level0():
         FiniteMetricSpace(["a"], [[0, 1]])
     with pytest.raises(InvalidSpaceError):
         FiniteMetricSpace([], [])
+
+
+@pytest.mark.parametrize("dist", [[[0, 1], [1]], [[0, 1], [1, "x"]], [[0, 1], 1]])
+def test_constructor_rejects_a_ragged_or_non_numeric_matrix(dist):
+    with pytest.raises(InvalidSpaceError, match="distance matrix must be 2x2"):
+        FiniteMetricSpace(["a", "b"], dist)
 
 
 def test_unknown_label():

@@ -39,6 +39,25 @@ def test_gen_space_is_a_valid_metric():
         assert len(sp) == n
 
 
+def _closure_per_k(n, seed):
+    # reference: gen_space's draw, then the whole matrix at each step k
+    w = np.random.default_rng(seed).uniform(0.1, 2.0, size=(n, n))
+    w = np.triu(w, 1)
+    w = w + w.T
+    for k in range(n):
+        np.minimum(w, w[:, k:k + 1] + w[k:k + 1, :], out=w)
+    return w
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 130, 200])
+def test_gen_space_matches_the_per_k_closure_bitwise(n):
+    # 3-6 points are one block of rows; 130 and 200 take several, the last short
+    assert (n > verify._CLOSURE_ROWS) == (n >= 130)
+    for seed in range(8 if n <= 6 else 3):
+        ref = _closure_per_k(n, seed)
+        assert gen_space(n, seed).dist.tobytes() == ref.tobytes()
+
+
 def test_gen_measure_is_valid_and_deterministic():
     sp = gen_space(5, np.random.default_rng(1))
     a = gen_measure(sp, 4, np.random.default_rng(7))
