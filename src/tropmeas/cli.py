@@ -301,6 +301,11 @@ def cmd_dist(args) -> int:
             f"{args.m1!r} and {args.m2!r} are measures at different levels"
         )
     m1, m2 = _restrict([m1, m2])
+    if args.oracle:  # before any output: past the enumeration guard, print nothing
+        try:
+            o = bottleneck_distance_bruteforce(m1, m2)
+        except ValueError as e:
+            raise DocumentError(str(e)) from None
     h = bottleneck_distance(m1, m2)
     d = m1.ground.truncation_diam
     if h > d:
@@ -308,10 +313,6 @@ def cmd_dist(args) -> int:
     else:
         print(f"H = {_fmt(h)}, rho_I = {_fmt(h)} (diam = {_fmt(d)}, no truncation)")
     if args.oracle:
-        try:
-            o = bottleneck_distance_bruteforce(m1, m2)
-        except ValueError as e:
-            raise DocumentError(str(e)) from None
         print(f"H_oracle = {_fmt(o)}")
         if o != h:
             print(

@@ -428,6 +428,24 @@ def test_cmd_dist_oracle_agrees(worked_file, capsys):
     assert "H_oracle = 3" in out
 
 
+def test_cmd_dist_oracle_past_the_guard_prints_nothing(tmp_path, capsys):
+    # a 5 x 5 pair is past the 20-cell guard: the H line used to come first
+    labels = [f"p{i}" for i in range(10)]
+    doc = {
+        "space": {"points": labels, "dist": [[0 if a == b else 1 for b in labels] for a in labels]},
+        "measures": {name: {"support": [{"atom": p, "weight": -0.5 * (i > 0)}
+                                        for i, p in enumerate(points)]}
+                     for name, points in (("m1", labels[:5]), ("m2", labels[5:]))},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dist", "--oracle", str(path), "m1", "m2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "support product 5x5 exceeds the enumeration guard" in err
+    assert main(["dist", str(path), "m1", "m2"]) == 0
+
+
 def test_cmd_dist_mixed_levels(worked_file, capsys):
     assert main(["dist", worked_file, "m1", "M"]) == 2
     assert "different levels" in capsys.readouterr().err

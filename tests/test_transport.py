@@ -177,10 +177,10 @@ def test_oracle_size_guard(monkeypatch):
     assert min(a.support_size * b.support_size for a, b in pairs) == ORACLE_CELL_LIMIT + 1
 
     def no_table(*args, **kwargs):
-        raise AssertionError("mask table built past the size guard")
+        raise AssertionError("pattern table built past the size guard")
 
-    # the masks come from np.arange, so the guard must fire before it
-    monkeypatch.setattr(np, "arange", no_table)
+    # the guard must fire before a table of patterns is built
+    monkeypatch.setattr(transport, "_pattern_table", no_table)
     for a, b in pairs:
         with pytest.raises(ValueError, match="enumeration guard"):
             bottleneck_distance_bruteforce(a, b)
@@ -593,6 +593,21 @@ def test_threshold_search_agrees_with_bruteforce():
 
 
 @pytest.mark.parametrize("make", [_exact_size_measure, _grid_measure])
+@pytest.mark.parametrize("n1, n2", [(2, 5), (3, 4), (2, 6)])
+def test_bruteforce_matches_pattern_enumeration_at_10_to_12_cells(make, n1, n2):
+    # past the 9 cells of test_bruteforce_matches_pattern_enumeration: the
+    # two tables of the oracle's first chunk hold 5 or 6 cells each
+    rng = np.random.default_rng(31 + n1 * n2)
+    sp = tm.gen_space(12, rng)
+    for _ in range(3):
+        m1, m2 = make(sp, n1, rng), make(sp, n2, rng)
+        assert (m1.support_size, m2.support_size) == (n1, n2)
+        for a, b in ((m1, m2), (m2, m1)):
+            expected = _min_worst_cost_over_patterns(a, b)
+            assert bottleneck_distance_bruteforce(a, b).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("make", [_exact_size_measure, _grid_measure])
 def test_bruteforce_agrees_with_threshold_across_chunks(make):
     # up to the 20-cell guard the masks span several chunks; a 1 x n pair
     # has one feasible pattern, the full one, which is the last mask, and
@@ -607,12 +622,13 @@ def test_bruteforce_agrees_with_threshold_across_chunks(make):
 
 
 def test_the_bruteforce_oracle_stays_within_its_memory():
-    # a 4 x 4 pair and a 4 x 5 pair at the guard: a table of all 2^cells
-    # patterns at once peaked at 10.8 MiB and 209 MiB; chunks of masks keep
-    # every table to cells x _ORACLE_CHUNK entries
+    # a 4 x 4 pair and, at the guard, a 4 x 5 pair and the widest masks: a
+    # table of all 2^cells patterns at once peaked at 10.8 MiB and 209 MiB
+    # (4 x 4, 4 x 5); the oracle holds the 2^16 patterns of its first 16
+    # cells at most, however wide the bit sets of rows and columns
     rng = np.random.default_rng(34)
-    sp = tm.gen_space(8, rng)
-    for n1, n2 in [(4, 4), (4, 5)]:
+    sp = tm.gen_space(24, rng)
+    for n1, n2 in [(4, 4), (4, 5), (1, 20), (2, 10)]:
         m1, m2 = _exact_size_measure(sp, n1, rng), _exact_size_measure(sp, n2, rng)
         tracemalloc.start()
         try:
