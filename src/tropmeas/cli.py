@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .measures import (SNAP_TOL, FunctionOnSpace, IdempotentMeasure, _document, _snapped,
+from .measures import (SNAP_TOL, FunctionOnSpace, IdempotentMeasure, _snapped,
                        evaluate, measure_to_term, pushforward)
 from .monad import flatten
 from .spaces import FiniteMetricSpace, _build, _restrict, validate
@@ -33,7 +33,7 @@ from .verify import (
     run_oracle_equivalence,
 )
 
-__all__ = ["main", "parse_document", "document_to_text", "measure_to_term",
+__all__ = ["main", "parse_document", "measure_to_term",
            "Document", "DocumentError", "UsageError"]
 
 EXIT_OK = 0
@@ -138,7 +138,8 @@ def parse_document(text: str) -> Document:
     measures over a tower restricted to its two measures and never reads
     these.  On the benchmark's 115 KB level-3 documents (64 points; 120, 40
     and 8 measures) a command takes 4-5 ms on a 2-vCPU VM (Python 3.11): 1.7
-    ms to decode, 0.9 to validate the space, 1 for the 168 terms, 0.3-0.5 to run.
+    ms to decode, 0.3-0.65 of CPU to validate the space, 1 for the 168 terms,
+    0.3-0.5 to run.
     """
     try:
         raw = json.loads(text)
@@ -235,14 +236,6 @@ def parse_document(text: str) -> Document:
         level, place = known[id(term)]
         named[name] = built[level - 1][place]
     return Document(space, named)
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def document_to_text(doc: Document) -> str:
-    return json.dumps(_document(doc.space, doc.measures), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +365,10 @@ _CAMPAIGNS = {
 }
 
 #: Largest --space-size.  Every case builds and validates its own space in
-#: time cubic in the count (see the option's help); its memory stays a few
-#: n x n matrices (21 MB at the peak at 1024), as both cubic loops work in
-#: row blocks through a small buffer.
+#: time cubic in the count, 1.2-1.7 s of CPU at 1024 (see the option's
+#: help); its memory stays a few n x n matrices (21 MB at the tracemalloc
+#: peak at 1024), as both cubic loops work in row blocks through a small
+#: buffer.
 MAX_SPACE_SIZE = 1024
 
 
@@ -448,8 +442,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--space-size", type=int, default=None,
                    help="fixed point count, 2 to 1024 (default: random 3-6 per "
                         "case); every case builds its own space in time cubic in "
-                        "the count: about 0.06-0.09 s at 256 points, 3.3-4 s at "
-                        "1024 on a 2-vCPU Xeon VM")
+                        "the count: about 0.02-0.04 s of CPU at 256 points, "
+                        "1.2-1.7 s at 1024 on a 2-vCPU Xeon VM")
     p.add_argument("--cases", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)

@@ -66,6 +66,8 @@ TRIANGLE_TOL = 1e-9
 #: Rows per block and cells per buffer of :func:`validate`'s triangle scan:
 #: a block's buffer (512 KB) stays in cache, and a space of up to 64
 #: points is one block, with all of its k in one buffer up to 40 points.
+#: Under transport's row buffer, 512 points took 107-111 ms of CPU at 32 rows,
+#: 111-113 at 64, 116-117 at 128 and 143-146 at 256 (2-vCPU Xeon VM).
 _SCAN_ROWS = 64
 _SCAN_CELLS = 2**16
 
@@ -213,7 +215,7 @@ def validate(space: FiniteMetricSpace) -> MetricViolation | None:
     # those columns.  A sum past the float range is inf, as in scalar
     # arithmetic, and violates nothing.
     found, stop = None, n
-    with np.errstate(over="ignore"):
+    with transport._row_buffered(n):
         for i0 in range(0, n, _SCAN_ROWS):
             rows = d[i0:i0 + _SCAN_ROWS, i0:]
             r, c = rows.shape

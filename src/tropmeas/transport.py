@@ -76,6 +76,7 @@ retraction a, b -> a, c -> c sends {a: -1.5, b: 0} to delta_a at rho 1.5.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -102,24 +103,58 @@ ORACLE_CELL_LIMIT = 20
 #: cells (support sizes multiplied) takes the loop in bottleneck_distance,
 #: and so does every pair of a measure_distances call whose count of new
 #: pairs times its largest support squared stays below it.  Loop/sweep
-#: time ratios, best of 15 on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4), 64
-#: points: one pair 0.09x at 8x8, 0.28x at 16x16, 0.5x at 24x24, 0.8x at
-#: 32x32, 1.2x at 40x40, 7.4x at 256x256 (300 points); a measure_distances
-#: call of one measure against k others, at 256 cells 0.28x (1 of 16x16),
-#: 0.35x (4 of 8x8), 0.5x (16 of 4x4), 0.8x (64 of 2x2), at 1024 cells
-#: 0.8x (4 of 16x16), 1.0x (16 of 8x8), 1.1x (64 of 4x4).  A sweep costs
-#: about 50 us, so both break even nearer 1024 cells than 256.
+#: ratios of process CPU time, best of 15, three runs, on a 2-vCPU Xeon VM
+#: (Python 3.11, numpy 2.4), 64 points: one pair 0.08-0.11x at 8x8,
+#: 0.16-0.28x at 16x16, 0.4x at 24x24, 0.4-0.7x at 32x32, 0.9-1.4x at
+#: 40x40, 4.5-7.6x at 256x256 (300 points); a measure_distances call of one
+#: measure against k others, at 256 cells 0.2-0.3x (1 of 16x16 and 4 of
+#: 8x8), 0.35-0.43x (16 of 4x4), 0.7-1.1x (64 of 2x2), at 1024 cells
+#: 0.7-1.0x (4 of 16x16), 0.8-0.9x (16 of 8x8), 0.9-1.35x (64 of 4x4).  A
+#: small sweep costs 120-250 us of CPU, mostly per-call set-up that the row
+#: buffer does not touch, so both still break even nearer 1024 cells than
+#: 256.
 VECTOR_CELL_CUTOFF = 256
 
 #: Cells per block of the sweep, its rows times the columns they reach or
-#: the ground's points if more, bounding its cost array and gathers.  2^16
-#: ran distance_matrix lifts fastest, 2^15 as fast, 2^17 5% slower.
+#: the ground's points if more, bounding its cost array and gathers.  Under
+#: the row buffer, a 24-measure distance_matrix lift took 22-23 ms of CPU
+#: at 2^14, 17.4-17.9 at 2^15, 16.2-16.8 at 2^16 and 16.9-17.2 at 2^17.
 _CHUNK_CELLS = 1 << 16
 
 #: Cells per chunk of :func:`bottleneck_distance_bruteforce`: a chunk
 #: holds the 2^16 patterns of its first 16 cells, in two tables of 0.25
 #: and 0.5 MB, for a tracemalloc peak of about 1.1 MB at the guard.
 _ORACLE_CHUNK = 16
+
+#: Elements per ufunc buffer of the kernels that broadcast over rows: the
+#: sweep, :func:`~tropmeas.spaces.validate`'s triangle scan and
+#: :func:`~tropmeas.verify.gen_space`'s closure.  At numpy's default of
+#: 8192, an op whose rows are shorter than the buffer copies its operands
+#: through it.  Medians of process CPU time at 512 points, 2-vCPU Xeon VM
+#: (Python 3.11, numpy 2.4), for gen_space (its validate included),
+#: validate and a 24-measure distance_matrix lift: at 8192, 440-470, 175-180
+#: and 19-20 ms; at 16, 255, 100 and 15-17; at 64, 250, 98-105 and 16-17;
+#: at 256, 246-256, 101-104 and 15-17; at 512, 248-259, 103-109 and 16.
+#: 16 to 512 run level.  The value is also the shortest row that takes the
+#: buffer: at 16 points a buffer of 16 took gen_space from 130 to 150-180 us.
+_ROW_BUFFER = 64
+
+
+@contextmanager
+def _row_buffered(row=math.inf):
+    """Scope for a kernel that broadcasts over rows of ``row`` elements (of
+    any length if not given): a cost or sum past the float range is inf, as
+    in scalar arithmetic, and a row of at least ``_ROW_BUFFER`` elements
+    goes through ufunc buffers of that size.  Elementwise results do not
+    depend on the buffer, so no bit does.  The caller's size is restored
+    by hand: before numpy 2.0, leaving ``errstate`` does not restore it."""
+    with np.errstate(over="ignore"):
+        size = np.setbufsize(_ROW_BUFFER) if row >= _ROW_BUFFER else None
+        try:
+            yield
+        finally:
+            if size is not None:
+                np.setbufsize(size)
 
 
 def _same_space(mu1: IdempotentMeasure, mu2: IdempotentMeasure):
@@ -185,7 +220,7 @@ def bottleneck_distance(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> float
     _same_space(mu1, mu2)
     if mu1.support_size * mu2.support_size >= VECTOR_CELL_CUTOFF:
         entries = _entries([mu1, mu2])
-        with np.errstate(over="ignore"):  # a cost past the float range is inf
+        with _row_buffered():
             r12 = _sweep(*entries, mu1.ground.dist, (0, 1), (1, 2))[0, 0]
             r21 = _sweep(*entries, mu1.ground.dist, (1, 2), (0, 1))[0, 0]
     else:
@@ -296,7 +331,7 @@ def measure_distances(measures, known=None) -> np.ndarray:
                 R[j, i] = _row_loop(measures[j], measures[i])
     else:
         entries, dist = _entries(measures), measures[0].ground.dist
-        with np.errstate(over="ignore"):  # a cost past the float range is inf
+        with _row_buffered():
             R[old:] = _sweep(*entries, dist, (old, n), (0, n))
             if old:
                 R[:old, old:] = _sweep(*entries, dist, (0, old), (old, n))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tropmeas import spaces, transport
@@ -32,3 +33,21 @@ def lookups(monkeypatch):
 
     monkeypatch.setattr(spaces, "_first_close", counted)
     return calls
+
+
+@pytest.fixture
+def caller_buffer():
+    """``run(size, call)`` calls ``call()`` as a caller whose ufunc buffer
+    is ``size`` elements and whose float errors all raise, and checks that
+    the call, whether it returns or raises, leaves both as it found them."""
+    def run(size, call):
+        with np.errstate(all="raise"):
+            old = np.setbufsize(size)
+            state = np.geterr()
+            try:
+                return call()
+            finally:
+                left = np.setbufsize(old), np.geterr()
+                assert left == (size, state)
+
+    return run

@@ -171,6 +171,24 @@ def test_validate_reports_the_first_violation_past_a_small_chunk():
     assert _first_triangle_violation(d, labels) == (5, 60, v)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 130, 512])
+def test_gen_space_does_not_depend_on_the_callers_buffer(n, caller_buffer):
+    # the closure runs under its own ufunc buffer, whatever the caller's
+    built = [caller_buffer(size, lambda: tm.gen_space(n, n)) for size in (16, 8192, 4096)]
+    assert len({sp.dist.tobytes() for sp in built}) == 1
+
+
+def test_validate_does_not_depend_on_the_callers_buffer(caller_buffer):
+    # a violation planted in the second block of rows, through p100
+    n = 200
+    d = tm.gen_space(n, 5).dist.copy()
+    d[150, 160] = d[160, 150] = d[150, 100] + d[100, 160] + 0.25
+    sp = FiniteMetricSpace([f"p{i}" for i in range(n)], d, check=False)
+    found = [caller_buffer(size, lambda: validate(sp)) for size in (16, 8192, 4096)]
+    assert found[0] == found[1] == found[2] == _first_triangle_violation(d, sp.labels)[2]
+    assert found[0].axiom == "triangle"
+
+
 def test_constructor_rejects_invalid_level0():
     with pytest.raises(InvalidSpaceError):
         FiniteMetricSpace(["a", "b"], [[0, 1], [2, 0]])

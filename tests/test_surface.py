@@ -102,3 +102,15 @@ def test_readme_names_exist():
     missing = sorted(n for n in names - README_PLACEHOLDERS
                      if not re.search(rf"\b{n}\b", corpus))
     assert names and not missing, f"README.md names {missing}, found nowhere in the code"
+
+
+def test_the_ufunc_buffer_is_set_in_one_helper():
+    # every setbufsize of the package sits in transport._row_buffered, so
+    # the row kernels' buffer policy has one home
+    tree = ast.parse((PACKAGE / "transport.py").read_text())
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_row_buffered")
+    found = [(p.name, i) for p in sorted(PACKAGE.parent.rglob("*.py"))
+             for i, line in enumerate(p.read_text().splitlines(), 1) if "setbufsize" in line]
+    assert found and all(name == "transport.py" and helper.lineno <= i <= helper.end_lineno
+                         for name, i in found), found

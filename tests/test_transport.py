@@ -497,6 +497,54 @@ def test_a_large_support_lift_stays_within_its_memory():
     assert peak <= 2_518_419
 
 
+def test_the_row_buffer_is_set_for_long_rows_only(caller_buffer):
+    def inside(row):
+        with transport._row_buffered(row):
+            return np.getbufsize(), np.geterr()["over"]
+
+    size = transport._ROW_BUFFER
+    for row, expected in ((size - 1, 4096), (size, size), (math.inf, size)):
+        assert caller_buffer(4096, lambda: inside(row)) == (expected, "ignore")
+
+
+def test_the_sweep_does_not_depend_on_the_callers_buffer(caller_buffer, monkeypatch):
+    # every fill here takes the sweep: 3 pairs of up to 40 x 40 cells, 2 x 5
+    # pairs of up to 100 x 100, and one pair of 24 x 100
+    sizes, block = set(), transport._block
+
+    def seen(*args):
+        sizes.add(np.getbufsize())
+        return block(*args)
+
+    monkeypatch.setattr(transport, "_block", seen)
+    rng = np.random.default_rng(41)
+    sp = tm.gen_space(300, rng)
+    mus = [_exact_size_measure(sp, size, rng) for size in (16, 24, 40, 100, 3)]
+    assert 3 * 40 ** 2 >= VECTOR_CELL_CUTOFF and 24 * 100 >= VECTOR_CELL_CUTOFF
+
+    def run():
+        lifted = tm.lift(sp, mus[:3])
+        return (lifted.dist.tobytes(), tm.lift_extend(lifted, mus[3:]).dist.tobytes(),
+                bottleneck_distance(mus[1], mus[3]).hex())
+
+    runs = [caller_buffer(size, run) for size in (16, 8192, 4096)]
+    assert runs[0] == runs[1] == runs[2]
+    assert sizes == {transport._ROW_BUFFER}
+
+
+def test_a_raising_sweep_leaves_the_callers_buffer(caller_buffer, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("sweep failed")
+
+    rng = np.random.default_rng(43)
+    sp = tm.gen_space(40, rng)
+    m1, m2 = (_exact_size_measure(sp, 20, rng) for _ in range(2))
+    monkeypatch.setattr(transport, "_sweep", broken)
+    for call in (lambda: bottleneck_distance(m1, m2), lambda: tm.lift(sp, [m1, m2])):
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            caller_buffer(4096, call)
+
+
 def test_measure_distances_rejects_a_bad_known():
     sp = tm.gen_space(5, np.random.default_rng(26))
     mus = [tm.dirac(sp, i) for i in range(3)]
